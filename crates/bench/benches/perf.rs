@@ -75,6 +75,19 @@ fn bench_features(c: &mut Criterion) {
     group.bench_function("representation_210", |b| {
         b.iter(|| representation_features(&obs))
     });
+    // The frozen models' plans: only the features the forests read.
+    let monitor = QoeMonitor::train(&TrainingConfig {
+        cleartext_sessions: 250,
+        adaptive_sessions: 150,
+        seed: 16,
+        ..TrainingConfig::default()
+    });
+    let stall_plan = monitor.stall_model.plan();
+    let representation_plan = monitor.representation_model.plan();
+    group.bench_function("stall_planned", |b| b.iter(|| stall_plan.exact(&obs)));
+    group.bench_function("representation_planned", |b| {
+        b.iter(|| representation_plan.exact(&obs))
+    });
     group.bench_function("cusum_switch_score", |b| {
         let points = obs.chunk_points();
         let cfg = SwitchScoreConfig::default();

@@ -5,8 +5,8 @@ use crate::metrics::PipelineMetrics;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use vqoe_features::representation::{representation_feature_names, representation_features};
-use vqoe_features::{RqClass, SessionObs};
+use vqoe_features::representation::representation_feature_names;
+use vqoe_features::{FeaturePlan, RqClass, SessionObs, StreamingSessionState};
 use vqoe_ml::selection::{cfs_best_first_with, info_gain_ranking_with, RankedFeature};
 use vqoe_ml::{
     cross_validate_with, ConfusionMatrix, Dataset, ForestConfig, RandomForest, TrainConfig,
@@ -29,23 +29,39 @@ pub struct RepresentationModel {
 }
 
 impl RepresentationModel {
+    /// The features the forest reads, derived from `selected_indices`.
+    pub fn plan(&self) -> FeaturePlan {
+        FeaturePlan::representation(&self.selected_indices)
+    }
+
     /// Project a full 210-dim feature vector onto the selected subspace.
     pub fn project(&self, full: &[f64]) -> Vec<f64> {
         self.selected_indices.iter().map(|&i| full[i]).collect()
     }
 
     /// Classify one session's average representation from its
-    /// network-visible observations.
+    /// network-visible observations, computing only the planned
+    /// features.
     pub fn predict(&self, obs: &SessionObs) -> RqClass {
-        self.predict_from_features(&representation_features(obs))
+        self.classify(&self.plan().exact(obs))
+    }
+
+    /// Classify a sketched session from its streaming feature state
+    /// (the `Fidelity::Sketched` path).
+    pub fn predict_sketched(&self, state: &StreamingSessionState) -> RqClass {
+        self.classify(&self.plan().sketched(state))
     }
 
     /// Classify from an already-built 210-dim feature vector — exact
-    /// ([`representation_features`]) or approximate (the streaming
-    /// `Fidelity::Sketched` path).
+    /// ([`representation_features`](vqoe_features::representation_features)) or approximate
+    /// ([`StreamingSessionState::representation_features_approx`]).
     pub fn predict_from_features(&self, full: &[f64]) -> RqClass {
-        let row = self.project(full);
-        match self.forest.predict(&row) {
+        self.classify(&self.project(full))
+    }
+
+    /// Classify a row already in the selected subspace.
+    fn classify(&self, row: &[f64]) -> RqClass {
+        match self.forest.predict(row) {
             0 => RqClass::Ld,
             1 => RqClass::Sd,
             _ => RqClass::Hd,

@@ -11,8 +11,6 @@
 //! keeps its richer inherent API (confusion matrices, per-class
 //! accuracies, Figure-4 score populations).
 
-use vqoe_features::representation::representation_features;
-use vqoe_features::stall::stall_features;
 use vqoe_features::{RqClass, SessionObs, StallClass};
 
 use crate::avgrep_pipeline::RepresentationModel;
@@ -81,7 +79,7 @@ impl Detector for StallModel {
     }
 
     fn project(&self, obs: &SessionObs) -> Vec<f64> {
-        StallModel::project(self, &stall_features(obs))
+        self.plan().exact(obs)
     }
 
     fn predict(&self, obs: &SessionObs) -> StallClass {
@@ -105,7 +103,7 @@ impl Detector for RepresentationModel {
     }
 
     fn project(&self, obs: &SessionObs) -> Vec<f64> {
-        RepresentationModel::project(self, &representation_features(obs))
+        self.plan().exact(obs)
     }
 
     fn predict(&self, obs: &SessionObs) -> RqClass {
@@ -211,5 +209,82 @@ mod tests {
         );
         let score = m.switch_model.score(&obs);
         assert_eq!(Detector::project(&m.switch_model, &obs), vec![score]);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn planned_projection_is_the_full_vector_projected() {
+        let m = monitor();
+        let eval = crate::generate::generate_traces(&DatasetSpec {
+            n_sessions: 30,
+            ..DatasetSpec::encrypted_default(94)
+        });
+        for t in &eval {
+            let obs = SessionObs::from_trace(t);
+            let stall_full = vqoe_features::stall_features(&obs);
+            let rep_full = vqoe_features::representation_features(&obs);
+            assert_eq!(
+                bits(&Detector::project(&m.stall_model, &obs)),
+                bits(&m.stall_model.project(&stall_full))
+            );
+            assert_eq!(
+                bits(&Detector::project(&m.representation_model, &obs)),
+                bits(&m.representation_model.project(&rep_full))
+            );
+            assert_eq!(
+                m.stall_model.predict(&obs),
+                m.stall_model.predict_from_features(&stall_full)
+            );
+            assert_eq!(
+                m.representation_model.predict(&obs),
+                m.representation_model.predict_from_features(&rep_full)
+            );
+        }
+    }
+
+    #[test]
+    fn plans_are_not_serialized_and_survive_a_json_round_trip() {
+        use serde::Serialize;
+        let m = monitor();
+        let keys = |v: serde::Value| match v {
+            serde::Value::Map(fields) => fields.into_iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            other => panic!("model serializes to a map, got {other:?}"),
+        };
+        let fields = ["forest", "selected_indices", "selected_names"];
+        assert_eq!(keys(m.stall_model.to_value()), fields);
+        assert_eq!(keys(m.representation_model.to_value()), fields);
+
+        let stall: StallModel =
+            serde_json::from_str(&serde_json::to_string(&m.stall_model).unwrap()).unwrap();
+        let rep: RepresentationModel =
+            serde_json::from_str(&serde_json::to_string(&m.representation_model).unwrap()).unwrap();
+        assert_eq!(stall.plan(), m.stall_model.plan());
+        assert_eq!(rep.plan(), m.representation_model.plan());
+        let eval = crate::generate::generate_traces(&DatasetSpec {
+            n_sessions: 30,
+            ..DatasetSpec::encrypted_default(95)
+        });
+        for t in &eval {
+            let obs = SessionObs::from_trace(t);
+            assert_eq!(stall.predict(&obs), m.stall_model.predict(&obs));
+            assert_eq!(rep.predict(&obs), m.representation_model.predict(&obs));
+            let mut state = vqoe_features::StreamingSessionState::new();
+            for c in &obs.chunks {
+                state.fold(c);
+            }
+            assert_eq!(
+                stall.predict_sketched(&state),
+                m.stall_model
+                    .predict_from_features(&state.stall_features_approx())
+            );
+            assert_eq!(
+                rep.predict_sketched(&state),
+                m.representation_model
+                    .predict_from_features(&state.representation_features_approx())
+            );
+        }
     }
 }

@@ -5,8 +5,8 @@ use crate::metrics::PipelineMetrics;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use vqoe_features::stall::{stall_feature_names, stall_features};
-use vqoe_features::{SessionObs, StallClass};
+use vqoe_features::stall::stall_feature_names;
+use vqoe_features::{FeaturePlan, SessionObs, StallClass, StreamingSessionState};
 use vqoe_ml::selection::{cfs_best_first_with, info_gain_ranking_with, RankedFeature};
 use vqoe_ml::{
     cross_validate_with, ConfusionMatrix, Dataset, ForestConfig, RandomForest, TrainConfig,
@@ -26,24 +26,40 @@ pub struct StallModel {
 }
 
 impl StallModel {
+    /// The features the forest reads, derived from `selected_indices`.
+    pub fn plan(&self) -> FeaturePlan {
+        FeaturePlan::stall(&self.selected_indices)
+    }
+
     /// Project a full 70-dim stall feature vector onto the model's
     /// selected subspace.
     pub fn project(&self, full: &[f64]) -> Vec<f64> {
         self.selected_indices.iter().map(|&i| full[i]).collect()
     }
 
-    /// Classify one session from its network-visible observations.
+    /// Classify one session from its network-visible observations,
+    /// computing only the planned features.
     pub fn predict(&self, obs: &SessionObs) -> StallClass {
-        self.predict_from_features(&stall_features(obs))
+        self.classify(&self.plan().exact(obs))
+    }
+
+    /// Classify a sketched session from its streaming feature state
+    /// (the `Fidelity::Sketched` path, which cannot afford the buffered
+    /// [`SessionObs`] the exact builder needs).
+    pub fn predict_sketched(&self, state: &StreamingSessionState) -> StallClass {
+        self.classify(&self.plan().sketched(state))
     }
 
     /// Classify from an already-built 70-dim stall feature vector —
-    /// exact ([`stall_features`]) or approximate (the streaming
-    /// `Fidelity::Sketched` path, which cannot afford the buffered
-    /// [`SessionObs`] the exact builder needs).
+    /// exact ([`stall_features`](vqoe_features::stall_features)) or approximate
+    /// ([`StreamingSessionState::stall_features_approx`]).
     pub fn predict_from_features(&self, full: &[f64]) -> StallClass {
-        let row = self.project(full);
-        match self.forest.predict(&row) {
+        self.classify(&self.project(full))
+    }
+
+    /// Classify a row already in the selected subspace.
+    fn classify(&self, row: &[f64]) -> StallClass {
+        match self.forest.predict(row) {
             0 => StallClass::NoStalls,
             1 => StallClass::Mild,
             _ => StallClass::Severe,

@@ -137,10 +137,7 @@ impl Subscription for StallSubscription<'_> {
     }
 
     fn deliver_sketched(&self, _view: &SessionView<'_>, digest: &SessionDigest) -> Signal {
-        Signal::Stall(
-            self.model
-                .predict_from_features(&digest.features.stall_features_approx()),
-        )
+        Signal::Stall(self.model.predict_sketched(&digest.features))
     }
 }
 
@@ -168,10 +165,7 @@ impl Subscription for RepresentationSubscription<'_> {
     }
 
     fn deliver_sketched(&self, _view: &SessionView<'_>, digest: &SessionDigest) -> Signal {
-        Signal::Representation(
-            self.model
-                .predict_from_features(&digest.features.representation_features_approx()),
-        )
+        Signal::Representation(self.model.predict_sketched(&digest.features))
     }
 }
 

@@ -19,6 +19,10 @@
 //!   (4 moments + 11 percentiles) over 14 series (the 10 base metrics
 //!   plus the constructed *chunk average size*, *chunk Δsize*,
 //!   *chunk Δt* and *cumulative-sum throughput*) = 210 features.
+//! * [`plan`] — [`FeaturePlan`]: the (series, statistic) pairs a frozen
+//!   model reads, derived from its selected indices, and the one builder
+//!   that evaluates a plan over an exact or a streaming series summary.
+//!   The full 70/210-dim vectors are its full plans.
 //! * [`labels`] — the labelling rules: Rebuffering Ratio → {no, mild,
 //!   severe} stalling (threshold 0.1, after Krishnan et al.), mean
 //!   resolution → {LD, SD, HD} (360/480 lines), and switch
@@ -60,6 +64,7 @@ pub mod labels;
 pub mod matrix;
 pub mod obfuscation;
 pub mod obs;
+pub mod plan;
 pub mod representation;
 pub mod stall;
 pub mod streaming;
@@ -68,6 +73,7 @@ pub mod view;
 pub use labels::{rq_label, stall_label, variation_label, RqClass, StallClass, VariationClass};
 pub use matrix::{build_representation_dataset, build_stall_dataset};
 pub use obs::{ChunkObs, SessionObs};
+pub use plan::FeaturePlan;
 pub use representation::{representation_feature_names, representation_features};
 pub use stall::{stall_feature_names, stall_features};
 pub use streaming::{SeriesState, StreamingSessionState};

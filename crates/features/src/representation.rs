@@ -16,14 +16,31 @@
 //! (a scalar, which is why 10 + 4 series — not 5 — make the 14).
 
 use crate::obs::SessionObs;
-use crate::MISSING_STAT;
-use vqoe_stats::quantiles::try_quantile_sorted;
-use vqoe_stats::Summary;
+use crate::plan::{feature_index, FeaturePlan, Stat};
 
 /// The fifteen §4.2 statistics, in a fixed order.
 pub const REP_STATS: [&str; 15] = [
     "minimum", "mean", "maximum", "std", "5%", "10%", "15%", "20%", "25%", "50%", "75%", "80%",
     "85%", "90%", "95%",
+];
+
+/// The statistics behind [`REP_STATS`], in the same order.
+pub(crate) const REP_STAT_KINDS: [Stat; 15] = [
+    Stat::Min,
+    Stat::Mean,
+    Stat::Max,
+    Stat::Std,
+    Stat::Quantile(0.05),
+    Stat::Quantile(0.10),
+    Stat::Quantile(0.15),
+    Stat::Quantile(0.20),
+    Stat::Quantile(0.25),
+    Stat::Quantile(0.50),
+    Stat::Quantile(0.75),
+    Stat::Quantile(0.80),
+    Stat::Quantile(0.85),
+    Stat::Quantile(0.90),
+    Stat::Quantile(0.95),
 ];
 
 /// The fourteen base series, in a fixed order. The first ten are the
@@ -57,83 +74,28 @@ pub fn representation_feature_names() -> Vec<String> {
     names
 }
 
-fn metric_series(obs: &SessionObs, metric: usize) -> Vec<f64> {
-    match metric {
-        0 => obs.chunks.iter().map(|c| c.rtt_min).collect(),
-        1 => obs.chunks.iter().map(|c| c.rtt_mean).collect(),
-        2 => obs.chunks.iter().map(|c| c.rtt_max).collect(),
-        3 => obs.chunks.iter().map(|c| c.bdp).collect(),
-        4 => obs.chunks.iter().map(|c| c.bif_mean).collect(),
-        5 => obs.chunks.iter().map(|c| c.bif_max).collect(),
-        6 => obs.chunks.iter().map(|c| c.loss).collect(),
-        7 => obs.chunks.iter().map(|c| c.retx).collect(),
-        8 => obs.chunks.iter().map(|c| c.bytes).collect(),
-        9 => obs.chunks.iter().map(|c| c.arrival_secs).collect(),
-        10 => obs.running_avg_sizes(),
-        11 => obs.size_deltas(),
-        12 => obs.inter_arrivals(),
-        13 => obs.cumsum_throughputs(),
-        _ => unreachable!("metric index out of range"),
-    }
-}
-
-/// The fifteen summary statistics of one series, in [`REP_STATS`] order.
-///
-/// Same boundary policy as the stall set: empty series → all zeros,
-/// non-empty series with zero finite samples → [`MISSING_STAT`] across
-/// the block (undefined statistics must not alias a real `0.0`).
-fn fifteen_stats(series: &[f64]) -> [f64; 15] {
-    let s = Summary::from_slice(series);
-    if !series.is_empty() && s.count == 0 {
-        return [MISSING_STAT; 15];
-    }
-    let mut sorted: Vec<f64> = series.iter().copied().filter(|v| v.is_finite()).collect();
-    sorted.sort_by(f64::total_cmp);
-    // `try_` form so an unexpectedly empty series can never alias a
-    // real 0.0 percentile; the empty-series → 0.0 branch is the
-    // documented boundary policy above, not a sentinel collapse.
-    let q = |p: f64| try_quantile_sorted(&sorted, p).unwrap_or(0.0);
-    [
-        s.min,
-        s.mean,
-        s.max,
-        s.std_dev,
-        q(0.05),
-        q(0.10),
-        q(0.15),
-        q(0.20),
-        q(0.25),
-        q(0.50),
-        q(0.75),
-        q(0.80),
-        q(0.85),
-        q(0.90),
-        q(0.95),
-    ]
-}
-
 /// Compute the 210-dimensional representation feature vector of one
-/// session. Empty sessions yield the all-zero vector.
+/// session: the full representation plan
+/// ([`FeaturePlan::representation_full`]). Same boundary policy as the
+/// stall set: empty series → all zeros, non-empty series with zero
+/// finite samples → [`MISSING_STAT`](crate::MISSING_STAT) across the
+/// block.
 pub fn representation_features(obs: &SessionObs) -> Vec<f64> {
-    let mut out = Vec::with_capacity(210);
-    for metric in 0..REP_METRICS.len() {
-        let series = metric_series(obs, metric);
-        out.extend_from_slice(&fifteen_stats(&series));
-    }
-    out
+    FeaturePlan::representation_full().exact(obs)
 }
 
-/// Value of one named representation feature.
+/// Value of one named representation feature (computes only that
+/// feature).
 pub fn representation_feature(obs: &SessionObs, name: &str) -> Option<f64> {
-    let names = representation_feature_names();
-    let idx = names.iter().position(|n| n == name)?;
-    Some(representation_features(obs)[idx])
+    let idx = feature_index(name, &REP_METRICS, &REP_STATS)?;
+    FeaturePlan::representation(&[idx]).exact(obs).pop()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::obs::ChunkObs;
+    use crate::MISSING_STAT;
 
     fn chunk(req: f64, arr: f64, bytes: f64) -> ChunkObs {
         ChunkObs {

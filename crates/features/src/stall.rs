@@ -10,9 +10,9 @@
 //! the paper's ("chunk size minimum", "BDP mean", ...).
 
 use crate::obs::SessionObs;
+use crate::plan::{feature_index, FeaturePlan, Stat};
 use crate::MISSING_STAT;
 use vqoe_stats::quantiles::try_quantile;
-use vqoe_stats::Summary;
 
 /// The seven §4.1 statistics, in a fixed order.
 pub const STALL_STATS: [&str; 7] = [
@@ -23,6 +23,17 @@ pub const STALL_STATS: [&str; 7] = [
     "25%",
     "50%",
     "75%",
+];
+
+/// The statistics behind [`STALL_STATS`], in the same order.
+pub(crate) const STALL_STAT_KINDS: [Stat; 7] = [
+    Stat::Min,
+    Stat::Max,
+    Stat::Mean,
+    Stat::Std,
+    Stat::Quantile(0.25),
+    Stat::Quantile(0.50),
+    Stat::Quantile(0.75),
 ];
 
 /// The ten Table-1 base metrics, in a fixed order.
@@ -51,57 +62,25 @@ pub fn stall_feature_names() -> Vec<String> {
     names
 }
 
-/// Extract the per-chunk series of one base metric.
-fn metric_series(obs: &SessionObs, metric: usize) -> Vec<f64> {
-    match metric {
-        0 => obs.chunks.iter().map(|c| c.rtt_min).collect(),
-        1 => obs.chunks.iter().map(|c| c.rtt_mean).collect(),
-        2 => obs.chunks.iter().map(|c| c.rtt_max).collect(),
-        3 => obs.chunks.iter().map(|c| c.bdp).collect(),
-        4 => obs.chunks.iter().map(|c| c.bif_mean).collect(),
-        5 => obs.chunks.iter().map(|c| c.bif_max).collect(),
-        6 => obs.chunks.iter().map(|c| c.loss).collect(),
-        7 => obs.chunks.iter().map(|c| c.retx).collect(),
-        8 => obs.chunks.iter().map(|c| c.bytes).collect(),
-        9 => obs.chunks.iter().map(|c| c.arrival_secs).collect(),
-        _ => unreachable!("metric index out of range"),
-    }
-}
-
-/// The seven summary statistics of one series, in [`STALL_STATS`] order.
-///
-/// An empty series keeps the all-zero convention (no chunks → no
-/// signal); a non-empty series whose every sample is non-finite has
-/// *undefined* statistics and yields [`MISSING_STAT`] across the block,
-/// so a corrupted metric column cannot alias a genuine zero.
-pub(crate) fn seven_stats(series: &[f64]) -> [f64; 7] {
-    let s = Summary::from_slice(series);
-    if !series.is_empty() && s.count == 0 {
-        return [MISSING_STAT; 7];
-    }
-    [s.min, s.max, s.mean, s.std_dev, s.p25, s.p50, s.p75]
-}
-
-/// Compute the 70-dimensional stall feature vector of one session.
+/// Compute the 70-dimensional stall feature vector of one session: the
+/// full stall plan ([`FeaturePlan::stall_full`]).
 ///
 /// Empty sessions produce the all-zero vector (a session with no
 /// observable chunks carries no signal; the classifier treats it as
-/// such rather than erroring out of a whole dataset build).
+/// such rather than erroring out of a whole dataset build). A non-empty
+/// metric whose every sample is non-finite has *undefined* statistics
+/// and yields [`MISSING_STAT`] across its block, so a corrupted metric
+/// column cannot alias a genuine zero.
 pub fn stall_features(obs: &SessionObs) -> Vec<f64> {
-    let mut out = Vec::with_capacity(70);
-    for metric in 0..STALL_METRICS.len() {
-        let series = metric_series(obs, metric);
-        out.extend_from_slice(&seven_stats(&series));
-    }
-    out
+    FeaturePlan::stall_full().exact(obs)
 }
 
 /// Convenience: the value of one named stall feature (used by tests and
 /// the experiment harness to pull out, e.g., "chunk size minimum").
+/// Computes only that feature.
 pub fn stall_feature(obs: &SessionObs, name: &str) -> Option<f64> {
-    let names = stall_feature_names();
-    let idx = names.iter().position(|n| n == name)?;
-    Some(stall_features(obs)[idx])
+    let idx = feature_index(name, &STALL_METRICS, &STALL_STATS)?;
+    FeaturePlan::stall(&[idx]).exact(obs).pop()
 }
 
 /// The 75th-percentile helper the harness uses for spot checks. Follows

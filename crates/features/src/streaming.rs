@@ -31,9 +31,10 @@
 //!
 //! [`stall_features_approx`]: StreamingSessionState::stall_features_approx
 //! [`representation_features_approx`]: StreamingSessionState::representation_features_approx
+//! [`MISSING_STAT`]: crate::MISSING_STAT
 
 use crate::obs::ChunkObs;
-use crate::MISSING_STAT;
+use crate::plan::FeaturePlan;
 use serde::{Deserialize, Serialize};
 use vqoe_stats::{OnlineMoments, QuantileSketch};
 
@@ -47,7 +48,8 @@ pub struct SeriesState {
     /// Deterministic quantile sketch over the finite samples.
     pub sketch: QuantileSketch,
     /// Samples folded in, finite or not. `samples > 0` with
-    /// `moments.count() == 0` is the [`MISSING_STAT`] regime.
+    /// `moments.count() == 0` is the
+    /// [`MISSING_STAT`](crate::MISSING_STAT) regime.
     pub samples: u64,
 }
 
@@ -68,68 +70,6 @@ impl SeriesState {
         self.samples += 1;
         self.moments.push(x);
         self.sketch.push(x);
-    }
-
-    /// Approximate quantile with the batch builders' sentinel policy
-    /// baked in: the caller guarantees `samples > 0` has been checked.
-    fn q(&self, p: f64) -> f64 {
-        self.sketch.try_quantile(p).unwrap_or(MISSING_STAT)
-    }
-
-    /// The seven §4.1 statistics in `STALL_STATS` order, or `None` when
-    /// no sample has been folded (caller emits the all-zero block).
-    fn seven(&self) -> Option<[f64; 7]> {
-        if self.samples == 0 {
-            return None;
-        }
-        let (Some(min), Some(max), Some(mean)) = (
-            self.moments.try_min(),
-            self.moments.try_max(),
-            self.moments.try_mean(),
-        ) else {
-            return Some([MISSING_STAT; 7]);
-        };
-        Some([
-            min,
-            max,
-            mean,
-            self.moments.std_dev(),
-            self.q(0.25),
-            self.q(0.50),
-            self.q(0.75),
-        ])
-    }
-
-    /// The fifteen §4.2 statistics in `REP_STATS` order, or `None` when
-    /// no sample has been folded.
-    fn fifteen(&self) -> Option<[f64; 15]> {
-        if self.samples == 0 {
-            return None;
-        }
-        let (Some(min), Some(max), Some(mean)) = (
-            self.moments.try_min(),
-            self.moments.try_max(),
-            self.moments.try_mean(),
-        ) else {
-            return Some([MISSING_STAT; 15]);
-        };
-        Some([
-            min,
-            mean,
-            max,
-            self.moments.std_dev(),
-            self.q(0.05),
-            self.q(0.10),
-            self.q(0.15),
-            self.q(0.20),
-            self.q(0.25),
-            self.q(0.50),
-            self.q(0.75),
-            self.q(0.80),
-            self.q(0.85),
-            self.q(0.90),
-            self.q(0.95),
-        ])
     }
 }
 
@@ -234,26 +174,24 @@ impl StreamingSessionState {
         ]
     }
 
+    /// Series `metric` in `REP_METRICS` order (what the sketched
+    /// [`FeaturePlan`] reads).
+    pub(crate) fn series_state(&self, metric: usize) -> &SeriesState {
+        self.series()[metric]
+    }
+
     /// The 70-dimensional §4.1 vector, shaped and ordered exactly like
     /// [`crate::stall_features`]; percentile slots are sketch
     /// approximations.
     pub fn stall_features_approx(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(70);
-        for s in &self.series()[..10] {
-            out.extend_from_slice(&s.seven().unwrap_or([0.0; 7]));
-        }
-        out
+        FeaturePlan::stall_full().sketched(self)
     }
 
     /// The 210-dimensional §4.2 vector, shaped and ordered exactly like
     /// [`crate::representation_features`]; percentile slots are sketch
     /// approximations.
     pub fn representation_features_approx(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(210);
-        for s in &self.series() {
-            out.extend_from_slice(&s.fifteen().unwrap_or([0.0; 15]));
-        }
-        out
+        FeaturePlan::representation_full().sketched(self)
     }
 
     /// Bytes of heap the state holds beyond its fixed footprint — the
@@ -271,7 +209,7 @@ impl StreamingSessionState {
 mod tests {
     use super::*;
     use crate::obs::SessionObs;
-    use crate::{representation_features, stall_features};
+    use crate::{representation_features, stall_features, MISSING_STAT};
 
     fn chunk(req: f64, arr: f64, bytes: f64) -> ChunkObs {
         ChunkObs {

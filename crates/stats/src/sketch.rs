@@ -170,38 +170,48 @@ impl QuantileSketch {
     /// union of all levels (a level-`l` value stands for `2^l`
     /// observations).
     pub fn try_quantile(&self, q: f64) -> Option<f64> {
+        self.try_quantiles(&[q]).and_then(|v| v.first().copied())
+    }
+
+    /// Several approximate quantiles in one weighted sort, aligned with
+    /// `qs`; `None` when the sketch is empty. Each value equals
+    /// [`QuantileSketch::try_quantile`] at the same `q`.
+    pub fn try_quantiles(&self, qs: &[f64]) -> Option<Vec<f64>> {
         if self.count == 0 {
             return None;
         }
-        let q = q.clamp(0.0, 1.0);
         let mut weighted: Vec<(f64, u64)> = Vec::with_capacity(self.stored());
         for (lvl, level) in self.levels.iter().enumerate() {
             let w = 1u64 << lvl.min(62);
             weighted.extend(level.values.iter().map(|&v| (v, w)));
         }
         weighted.sort_by(|a, b| f64::total_cmp(&a.0, &b.0));
-        let total: u64 = weighted.iter().map(|&(_, w)| w).sum();
-        // Rank of the requested quantile in the weighted sample,
-        // type-7-flavoured: the target rank is q·(total−1), and we
-        // return the first value whose cumulative weight passes it.
-        let target = (q * (total.saturating_sub(1)) as f64).round() as u64;
-        let mut cum = 0u64;
-        for &(v, w) in &weighted {
-            cum += w;
-            if cum > target {
-                return Some(v);
-            }
-        }
-        weighted.last().map(|&(v, _)| v)
-    }
-
-    /// Several approximate quantiles in one weighted sort, aligned with
-    /// `qs`; `None` when the sketch is empty.
-    pub fn try_quantiles(&self, qs: &[f64]) -> Option<Vec<f64>> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(qs.iter().filter_map(|&q| self.try_quantile(q)).collect())
+        // Cumulative weight after each value: strictly increasing, so
+        // the first value whose cumulative weight passes a rank is a
+        // binary search away.
+        let mut total = 0u64;
+        let cumulative: Vec<u64> = weighted
+            .iter()
+            .map(|&(_, w)| {
+                total += w;
+                total
+            })
+            .collect();
+        let last = weighted.last().map_or(0.0, |&(v, _)| v);
+        Some(
+            qs.iter()
+                .map(|&q| {
+                    // Rank of the requested quantile in the weighted
+                    // sample, type-7-flavoured: the target rank is
+                    // q·(total−1), and we return the first value whose
+                    // cumulative weight passes it.
+                    let q = q.clamp(0.0, 1.0);
+                    let target = (q * (total.saturating_sub(1)) as f64).round() as u64;
+                    let i = cumulative.partition_point(|&c| c <= target);
+                    weighted.get(i).map_or(last, |&(v, _)| v)
+                })
+                .collect(),
+        )
     }
 }
 
@@ -225,6 +235,21 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.try_quantile(0.5), None);
         assert_eq!(s.try_quantiles(&[0.1, 0.9]), None);
+    }
+
+    #[test]
+    fn try_quantiles_is_one_query_per_q_on_a_compacted_sketch() {
+        let data: Vec<f64> = (0..5_000u64)
+            .map(|i| ((i * 7_919) % 1_009) as f64)
+            .collect();
+        let s = filled(&data);
+        assert!(s.stored() < data.len(), "sketch must have compacted");
+        let qs = [0.95, 0.05, 0.5, 0.5, 0.25];
+        let batch = s.try_quantiles(&qs).unwrap();
+        for (&q, &b) in qs.iter().zip(&batch) {
+            assert_eq!(b.to_bits(), linear_scan_quantile(&s, q).unwrap().to_bits());
+        }
+        assert_eq!(s.try_quantiles(&[]), Some(Vec::new()));
     }
 
     #[test]
@@ -293,7 +318,59 @@ mod tests {
         assert!((median - 4_500.0).abs() < 450.0, "median {median}");
     }
 
+    /// The per-query linear scan `try_quantile` ran before the batch
+    /// form shared one weighted sort: the reference the batch must
+    /// reproduce bit-for-bit.
+    fn linear_scan_quantile(s: &QuantileSketch, q: f64) -> Option<f64> {
+        if s.count == 0 {
+            return None;
+        }
+        let q = q.clamp(0.0, 1.0);
+        let mut weighted: Vec<(f64, u64)> = Vec::new();
+        for (lvl, level) in s.levels.iter().enumerate() {
+            let w = 1u64 << lvl.min(62);
+            weighted.extend(level.values.iter().map(|&v| (v, w)));
+        }
+        weighted.sort_by(|a, b| f64::total_cmp(&a.0, &b.0));
+        let total: u64 = weighted.iter().map(|&(_, w)| w).sum();
+        let target = (q * (total.saturating_sub(1)) as f64).round() as u64;
+        let mut cum = 0u64;
+        for &(v, w) in &weighted {
+            cum += w;
+            if cum > target {
+                return Some(v);
+            }
+        }
+        weighted.last().map(|&(v, _)| v)
+    }
+
     proptest! {
+        #[test]
+        fn prop_try_quantiles_equal_single_queries(
+            data in proptest::collection::vec(-1e6f64..1e6, 1..1_500),
+            order in 0u8..3,
+            qs in proptest::collection::vec(0.0f64..1.0, 0..16),
+        ) {
+            // Random, sorted and reversed streams; lengths past
+            // SKETCH_CAPACITY exercise compacted (weighted) levels.
+            let mut data = data;
+            if order > 0 {
+                data.sort_by(f64::total_cmp);
+            }
+            if order == 2 {
+                data.reverse();
+            }
+            let s = filled(&data);
+            let mut qs = qs;
+            qs.extend([0.0, 0.5, 1.0, -0.25, 1.25]);
+            let batch = s.try_quantiles(&qs).unwrap();
+            prop_assert_eq!(batch.len(), qs.len());
+            for (&q, &b) in qs.iter().zip(&batch) {
+                prop_assert_eq!(b.to_bits(), s.try_quantile(q).unwrap().to_bits());
+                prop_assert_eq!(b.to_bits(), linear_scan_quantile(&s, q).unwrap().to_bits());
+            }
+        }
+
         #[test]
         fn prop_sketch_quantile_within_range(
             data in proptest::collection::vec(-1e6f64..1e6, 1..400),
