@@ -536,9 +536,14 @@ impl<'a> AssessmentEngine<'a> {
             });
             Trace::from_parts(trace_events, trace_dropped)
         });
+        // An exact-size buffer: collecting in place would keep the larger
+        // (key, assessment) allocation, growth slack included, alive for
+        // as long as the caller holds the report.
+        let mut assessments = Vec::with_capacity(emissions.len());
+        assessments.extend(emissions.into_iter().map(|(_, a)| a));
         let cap = self.ingest_cfg.max_anomalies_kept;
         let report = IngestReport {
-            assessments: emissions.into_iter().map(|(_, a)| a).collect(),
+            assessments,
             health,
             shard_health,
             anomalies: AnomalyLog::from_parts(
