@@ -4,7 +4,8 @@
 //!   sequential streaming path — full [`IngestReport`] equality, not
 //!   just the assessments — at worker counts 1, 2 and 7;
 //! * the identity holds even when the tap is hostile (`ChaosTap`
-//!   faults), where ordering bugs would surface first;
+//!   faults), where ordering bugs would surface first, and once
+//!   sessions spill past a lowered exactness cap (`Sketched` tier);
 //! * all three detectors survive a JSON round trip with identical
 //!   predictions, exercised generically through the [`Detector`] trait.
 
@@ -12,7 +13,7 @@ use std::sync::OnceLock;
 
 use vqoe_core::prelude::*;
 use vqoe_core::{generate_traces, DatasetSpec, EncryptedEvalConfig, EncryptedWorld};
-use vqoe_telemetry::{apply_chaos, ChaosConfig};
+use vqoe_telemetry::{apply_chaos, ChaosConfig, ReassemblyConfig};
 
 fn monitor() -> &'static QoeMonitor {
     static MONITOR: OnceLock<QoeMonitor> = OnceLock::new();
@@ -25,6 +26,18 @@ fn monitor() -> &'static QoeMonitor {
             .expect("valid training config");
         QoeMonitor::train(&config)
     })
+}
+
+/// The monitors every identity test runs under: the trained one, and
+/// the same models with a 16-entry exactness cap so that most sessions
+/// spill and are assessed from their digests.
+fn monitors() -> [(&'static str, QoeMonitor); 2] {
+    let mut capped = monitor().clone();
+    capped.reassembly = ReassemblyConfig {
+        exact_entry_cap: 16,
+        ..capped.reassembly
+    };
+    [("default cap", monitor().clone()), ("cap 16", capped)]
 }
 
 /// A tap shared by `subscribers` independent streams, interleaved by
@@ -48,11 +61,12 @@ fn multi_subscriber_tap(subscribers: u64, sessions: usize, seed: u64) -> Vec<Web
 /// sharded the same way, with mid-stream emissions spliced before the
 /// end-of-stream drain — exactly what `vqoe assess` reports.
 fn sequential_report(
+    monitor: &QoeMonitor,
     ingest: IngestConfig,
     engine: EngineConfig,
     entries: &[WeblogEntry],
 ) -> IngestReport {
-    let mut online = OnlineAssessor::with_engine(monitor().clone(), ingest, engine);
+    let mut online = OnlineAssessor::with_engine(monitor.clone(), ingest, engine);
     let mut assessments = Vec::new();
     for e in entries {
         assessments.extend(online.ingest(e));
@@ -64,31 +78,45 @@ fn sequential_report(
 }
 
 fn engine_report(
+    monitor: &QoeMonitor,
     ingest: IngestConfig,
     engine: EngineConfig,
     entries: &[WeblogEntry],
 ) -> IngestReport {
-    AssessmentEngine::with_ingest(monitor(), engine, ingest).assess(entries)
+    AssessmentEngine::with_ingest(monitor, engine, ingest).assess(entries)
+}
+
+fn sketched(report: &IngestReport) -> usize {
+    report
+        .assessments
+        .iter()
+        .filter(|a| a.fidelity == Fidelity::Sketched)
+        .count()
 }
 
 #[test]
 fn engine_is_bit_identical_to_the_streaming_path_at_every_worker_count() {
     let entries = multi_subscriber_tap(4, 2, 1300);
     let ingest = IngestConfig::default();
-    for workers in [1usize, 2, 7] {
-        let cfg = EngineConfig {
-            workers,
-            shards: 16,
-            ..EngineConfig::default()
-        };
-        let sequential = sequential_report(ingest, cfg, &entries);
-        let parallel = engine_report(ingest, cfg, &entries);
-        assert_eq!(
-            parallel, sequential,
-            "engine at {workers} workers diverged from the sequential path"
-        );
-        assert!(!parallel.assessments.is_empty(), "tap produced no sessions");
-        assert_eq!(parallel.shard_health.len(), 16);
+    for (name, m) in monitors() {
+        for workers in [1usize, 2, 7] {
+            let cfg = EngineConfig {
+                workers,
+                shards: 16,
+                ..EngineConfig::default()
+            };
+            let sequential = sequential_report(&m, ingest, cfg, &entries);
+            let parallel = engine_report(&m, ingest, cfg, &entries);
+            assert_eq!(
+                parallel, sequential,
+                "[{name}] engine at {workers} workers diverged from the sequential path"
+            );
+            assert!(!parallel.assessments.is_empty(), "tap produced no sessions");
+            assert_eq!(parallel.shard_health.len(), 16);
+            if m.reassembly.exact_entry_cap == 16 {
+                assert!(sketched(&parallel) > 0, "[{name}] no session spilled");
+            }
+        }
     }
 }
 
@@ -101,9 +129,14 @@ fn worker_count_never_changes_the_report() {
         shards: 8,
         ..EngineConfig::default()
     };
-    let reference = engine_report(ingest, base, &entries);
+    let reference = engine_report(monitor(), ingest, base, &entries);
     for workers in [2usize, 7] {
-        let report = engine_report(ingest, EngineConfig { workers, ..base }, &entries);
+        let report = engine_report(
+            monitor(),
+            ingest,
+            EngineConfig { workers, ..base },
+            &entries,
+        );
         assert_eq!(report, reference, "{workers} workers diverged from 1");
     }
     // Queue depth is a throughput knob, never a semantic one.
@@ -112,53 +145,50 @@ fn worker_count_never_changes_the_report() {
         queue_depth: 1,
         ..base
     };
-    assert_eq!(engine_report(ingest, deep, &entries), reference);
+    assert_eq!(engine_report(monitor(), ingest, deep, &entries), reference);
 }
 
 #[test]
 fn bit_identity_survives_a_hostile_tap() {
     let entries = multi_subscriber_tap(4, 2, 1500);
     let ingest = IngestConfig::default();
-    for seed in [21u64, 22] {
-        let (faulted, _) = apply_chaos(&entries, &ChaosConfig::uniform(0.3), seed);
-        for workers in [1usize, 7] {
-            let cfg = EngineConfig {
-                workers,
-                shards: 16,
-                ..EngineConfig::default()
-            };
-            let sequential = sequential_report(ingest, cfg, &faulted);
-            let parallel = engine_report(ingest, cfg, &faulted);
-            assert_eq!(
-                parallel, sequential,
-                "chaos seed {seed}, {workers} workers: engine diverged"
-            );
-            assert_eq!(parallel.health.entries_seen, faulted.len() as u64);
+    for (name, m) in monitors() {
+        for seed in [21u64, 22] {
+            let (faulted, _) = apply_chaos(&entries, &ChaosConfig::uniform(0.3), seed);
+            for workers in [1usize, 7] {
+                let cfg = EngineConfig {
+                    workers,
+                    shards: 16,
+                    ..EngineConfig::default()
+                };
+                let sequential = sequential_report(&m, ingest, cfg, &faulted);
+                let parallel = engine_report(&m, ingest, cfg, &faulted);
+                assert_eq!(
+                    parallel, sequential,
+                    "[{name}] chaos seed {seed}, {workers} workers: engine diverged"
+                );
+                assert_eq!(parallel.health.entries_seen, faulted.len() as u64);
+                if m.reassembly.exact_entry_cap == 16 {
+                    assert!(sketched(&parallel) > 0, "[{name}] no session spilled");
+                }
+            }
         }
     }
 }
 
 #[test]
-fn assess_corpus_is_the_engine() {
+fn pipeline_assess_is_the_engine() {
     let entries = multi_subscriber_tap(3, 2, 1600);
     let cfg = EngineConfig {
         workers: 2,
         shards: 8,
         ..EngineConfig::default()
     };
-    // The deprecated shim must stay bit-identical to the engine (and
-    // hence to the IngestPipeline front door it now delegates to).
-    #[allow(deprecated)]
-    let via_shim = monitor().assess_corpus(&entries, &cfg);
     assert_eq!(
-        via_shim,
-        engine_report(IngestConfig::default(), cfg, &entries),
-    );
-    assert_eq!(
-        via_shim,
         IngestPipeline::new(monitor())
             .with_engine(cfg)
             .assess(&entries),
+        engine_report(monitor(), IngestConfig::default(), cfg, &entries),
     );
 }
 
