@@ -14,9 +14,9 @@
 //! A value is "heavy" when the line mentions one of the known heavy
 //! type names, or when the cloned receiver's binding (or a same-file
 //! field/param declaration) carries one. The pass warns rather than
-//! denies: a clone is never *wrong*, it is a cost — the baseline
-//! mechanism grandfathers the ones the code owns deliberately. Test
-//! code is exempt.
+//! denies: a clone is never *wrong*, it is a cost — and an
+//! `analyze:allow(clone-heavy-handoff)` marker records the ones the
+//! code owns deliberately. Test code is exempt.
 
 use std::fs;
 use std::path::Path;

@@ -39,9 +39,7 @@
 //! The scope-aware passes (7–9) run on the [`tree`] token-tree layer
 //! built over the [`lexer`]. Violations carry `file:line`, a rule id,
 //! a severity ([`Severity::Deny`] fails the gate, [`Severity::Warn`]
-//! reports), and a message; known debt can be grandfathered in a
-//! committed [`baseline`] file, and per-file results are memoized by
-//! content hash in the [`cache`]. A `// analyze:allow(<rule>)` comment
+//! reports), and a message. A `// analyze:allow(<rule>)` comment
 //! on (or directly above) a line is the escape hatch for the
 //! line-level rules — and pass 10 keeps the hatches honest.
 //!
@@ -52,9 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod bounded;
-pub mod cache;
 pub mod clock;
 pub mod clones;
 pub mod constants;
@@ -303,9 +299,8 @@ fn crate_of(rel: &str) -> Option<&str> {
     rel.strip_prefix("crates/")?.split('/').next()
 }
 
-/// Run every line-level pass on one file. This is the unit the
-/// [`cache`] memoizes: a pure function of the relative path (crate
-/// scoping) and content.
+/// Run every line-level pass on one file: a pure function of the
+/// relative path (crate scoping) and content.
 pub fn analyze_file(rel: &str, text: &str) -> Vec<Finding> {
     let lines = lexer::lex_file(text);
     let tree = tree::TokenTree::build(&lines);
@@ -338,11 +333,6 @@ pub fn analyze_file(rel: &str, text: &str) -> Vec<Finding> {
 /// Run all ten passes over the workspace at `root` and return the
 /// findings sorted by `(file, line, rule)`.
 pub fn run_all(root: &Path) -> Vec<Finding> {
-    run_all_cached(root, None)
-}
-
-/// [`run_all`] with an optional per-file findings cache.
-pub fn run_all_cached(root: &Path, mut cache: Option<&mut cache::Cache>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (_name, dir) in walk::crate_dirs(root) {
         for file in walk::rust_sources(&dir.join("src")) {
@@ -350,11 +340,7 @@ pub fn run_all_cached(root: &Path, mut cache: Option<&mut cache::Cache>) -> Vec<
                 continue;
             };
             let rel = walk::rel(root, &file);
-            let file_findings = match cache.as_deref_mut() {
-                Some(c) => c.get_or_compute(&rel, &text, || analyze_file(&rel, &text)),
-                None => analyze_file(&rel, &text),
-            };
-            findings.extend(file_findings);
+            findings.extend(analyze_file(&rel, &text));
         }
     }
     findings.extend(constants::check(root));

@@ -269,7 +269,7 @@ fn unknown_flags_exit_with_usage_error() {
 fn sarif_output_is_valid_and_carries_the_findings() {
     let bin = env!("CARGO_BIN_EXE_vqoe-analyze");
     let out = Command::new(bin)
-        .args(["--sarif", "--no-baseline", "--root"])
+        .args(["--sarif", "--root"])
         .arg(fixture("panics"))
         .output()
         .expect("binary runs");
@@ -326,38 +326,10 @@ fn sarif_output_is_valid_and_carries_the_findings() {
 }
 
 #[test]
-fn baseline_grandfathers_known_debt_until_disabled() {
-    let bin = env!("CARGO_BIN_EXE_vqoe-analyze");
-    // The fixture root carries an analyze-baseline.toml covering its
-    // single unwrap — found by default, so the gate passes…
-    let grandfathered = Command::new(bin)
-        .args(["--root"])
-        .arg(fixture("baseline"))
-        .output()
-        .expect("binary runs");
-    assert_eq!(
-        grandfathered.status.code(),
-        Some(0),
-        "stdout: {} stderr: {}",
-        String::from_utf8_lossy(&grandfathered.stdout),
-        String::from_utf8_lossy(&grandfathered.stderr)
-    );
-    assert!(String::from_utf8_lossy(&grandfathered.stderr).contains("grandfathered"));
-    // …and --no-baseline restores the raw verdict.
-    let raw = Command::new(bin)
-        .args(["--no-baseline", "--root"])
-        .arg(fixture("baseline"))
-        .output()
-        .expect("binary runs");
-    assert_eq!(raw.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&raw.stdout).contains("unwrap"));
-}
-
-#[test]
 fn warn_severity_findings_do_not_fail_the_gate() {
     let bin = env!("CARGO_BIN_EXE_vqoe-analyze");
     let out = Command::new(bin)
-        .args(["--no-baseline", "--root"])
+        .args(["--root"])
         .arg(fixture("clones"))
         .output()
         .expect("binary runs");
@@ -369,33 +341,4 @@ fn warn_severity_findings_do_not_fail_the_gate() {
         "{stdout}"
     );
     assert!(stdout.contains("0 violation(s), 2 warning(s)"), "{stdout}");
-}
-
-#[test]
-fn warm_cache_run_serves_every_file_from_the_cache() {
-    let bin = env!("CARGO_BIN_EXE_vqoe-analyze");
-    let cache_path =
-        std::env::temp_dir().join(format!("vqoe-analyze-gates-cache-{}", std::process::id()));
-    let _ = std::fs::remove_file(&cache_path);
-    let run = |label: &str| {
-        let out = Command::new(bin)
-            .args(["--no-baseline", "--cache-path"])
-            .arg(&cache_path)
-            .arg("--root")
-            .arg(fixture("panics"))
-            .output()
-            .expect("binary runs");
-        (
-            String::from_utf8_lossy(&out.stdout).to_string(),
-            String::from_utf8_lossy(&out.stderr).to_string(),
-            format!("{label}: {}", out.status),
-        )
-    };
-    let (cold_out, cold_err, _) = run("cold");
-    assert!(cold_err.contains("0 hit(s)"), "{cold_err}");
-    let (warm_out, warm_err, _) = run("warm");
-    assert!(warm_err.contains("0 miss(es)"), "{warm_err}");
-    // Cached findings are byte-identical to computed ones.
-    assert_eq!(cold_out, warm_out);
-    let _ = std::fs::remove_file(&cache_path);
 }

@@ -2416,9 +2416,8 @@ impl IngestBenchConfig {
 ///
 /// Identity is asserted, not assumed: the packed corpus must decode to
 /// the exact entry vector, and the [`IngestReport`]s from JSON-decoded
-/// and binary-decoded replay — plus the deprecated
-/// `QoeMonitor::assess_corpus` shim — must be bit-identical at 1, 2
-/// and 7 workers.
+/// and binary-decoded replay must be bit-identical at 1, 2 and 7
+/// workers.
 ///
 /// [`IngestPipeline::assess`]: vqoe_core::IngestPipeline
 /// [`IngestReport`]: vqoe_core::IngestReport
@@ -2481,9 +2480,7 @@ pub fn ingest_bench_with(ctx: &ReproContext, cfg: IngestBenchConfig) -> (String,
         let p = pipeline.clone().with_engine(engine_cfg);
         let from_json = p.assess(&decode_jsonl(&jsonl));
         let from_binary = p.assess_binary(&corpus).expect("packed corpus replays");
-        #[allow(deprecated)]
-        let from_shim = monitor.assess_corpus(&entries, &engine_cfg);
-        identical &= from_json == from_binary && from_json == from_shim;
+        identical &= from_json == from_binary;
         sessions_assessed = from_json.assessments.len();
     }
 
@@ -2544,7 +2541,7 @@ pub fn ingest_bench_with(ctx: &ReproContext, cfg: IngestBenchConfig) -> (String,
     out.push_str(&t.render());
     out.push('\n');
     out.push_str(&compare_line(
-        "reports across encodings, shim and workers 1/2/7",
+        "reports across encodings and workers 1/2/7",
         "bit-identical",
         if identical {
             "bit-identical"

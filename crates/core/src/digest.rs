@@ -13,8 +13,8 @@
 //!
 //! The plumbing is the [`SpillSink`] trait from `vqoe-telemetry` (which
 //! cannot depend on the feature/detector crates, so the dependency is
-//! inverted): [`DigestSink`] implements it, the assessors install one
-//! per subscriber machine, and [`claim_digest`] pops the sealed digest
+//! inverted): [`DigestSink`] implements it, the subscriber lane
+//! (`crate::lane`) installs one per machine, and [`claim_digest`] pops the sealed digest
 //! matching each emitted spilled session — a strict FIFO, because the
 //! reassembler seals (or discards) exactly once per emission with any
 //! spill activity.
@@ -162,14 +162,19 @@ pub fn claim_digest(
     machine: &mut RobustReassembler,
     session: &ReassembledSession,
 ) -> Option<SessionDigest> {
+    claim_from(machine.spill_sink_mut(), session)
+}
+
+/// [`claim_digest`] over any machine's spill sink: the batch path runs
+/// the plain `StreamReassembler`, not a [`RobustReassembler`].
+pub(crate) fn claim_from(
+    sink: Option<&mut (dyn SpillSink + '_)>,
+    session: &ReassembledSession,
+) -> Option<SessionDigest> {
     if session.spilled_chunks == 0 && session.spilled_other == 0 {
         return None;
     }
-    let digest = machine
-        .spill_sink_mut()?
-        .as_any_mut()
-        .downcast_mut::<DigestSink>()?
-        .claim()?;
+    let digest = sink?.as_any_mut().downcast_mut::<DigestSink>()?.claim()?;
     if session.spilled_chunks == 0 {
         // All chunks are exact; the sealed digest only mirrors them.
         return None;

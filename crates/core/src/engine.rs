@@ -37,14 +37,12 @@
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex as StdMutex};
 
-use vqoe_features::{SessionObs, SessionView};
 use vqoe_obs::{SimClock, StageSpan, Trace, TraceConfig, TraceEvent, TraceSink, TraceStage};
 use vqoe_telemetry::{
-    AnomalyKindCounts, AnomalyLog, IngestAnomaly, IngestConfig, ReassembledSession,
-    RobustReassembler, StreamHealth, WeblogEntry,
+    AnomalyKindCounts, AnomalyLog, IngestAnomaly, IngestConfig, StreamHealth, WeblogEntry,
 };
 
-use crate::digest::{claim_digest, install_digest_sink, SessionDigest};
+use crate::lane::{self, Claimed, SubscriberLane};
 use crate::metrics::PipelineMetrics;
 use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
 use crate::online::{IngestReport, ShedLog};
@@ -378,8 +376,8 @@ impl<'a> AssessmentEngine<'a> {
     }
 
     /// Run one shard: its subscribers one at a time, each through a
-    /// fresh `RobustReassembler`, recording emission keys and tagging
-    /// kept anomalies with their global entry index.
+    /// fresh unbudgeted [`SubscriberLane`], recording emission keys and
+    /// tagging kept anomalies with their global entry index.
     fn process_shard(
         &self,
         subs: &SubscriptionSet<'_>,
@@ -415,13 +413,15 @@ impl<'a> AssessmentEngine<'a> {
         // tick per entry processed, so the span length is the shard's
         // entry count — identical at any worker count.
         let clock = SimClock::new();
-        let span = self
-            .metrics
-            .as_ref()
-            .map(|m| StageSpan::start(&clock, &m.stage_ticks));
+        let metrics = self.metrics.as_ref();
+        let span = metrics.map(|m| StageSpan::start(&clock, &m.stage_ticks));
         for (&subscriber, subscriber_indices) in &per_subscriber {
-            let mut machine = RobustReassembler::new(self.monitor.reassembly, self.ingest_cfg);
-            install_digest_sink(&mut machine, *self.monitor.switch_model.scoring());
+            let mut lane = SubscriberLane::new(self.monitor, self.ingest_cfg);
+            let mut emit = |key: EmissionKey, claimed: &Claimed| {
+                let trace = sink.as_mut().map(|t| (t, key, subscriber));
+                let a = lane::assess(subs, metrics, claimed, Fidelity::Full, trace);
+                out.emissions.push((key, a));
+            };
             // Per-subscriber scratch log: its entries arrive in global
             // order, so its first `cap` records are exactly the
             // subscriber's candidates for the global first-`cap` set.
@@ -432,36 +432,17 @@ impl<'a> AssessmentEngine<'a> {
                 let e = &entries[g as usize];
                 out.health.entries_seen += 1;
                 clock.advance(1);
-                let sessions = machine.push(e, &mut out.health, &mut log);
+                let sessions = lane.push(e, &mut out.health, &mut log);
                 for a in &log.kept()[prev_kept..] {
                     tagged.push((g as u64, *a));
                 }
                 prev_kept = log.kept().len();
-                for (k, s) in sessions.iter().enumerate() {
-                    let digest = claim_digest(&mut machine, s);
-                    let key = (0, g as u64, k as u32);
-                    let a = self.assess_one(
-                        subs,
-                        s,
-                        digest.as_ref(),
-                        sink.as_mut().map(|t| (t, key, subscriber)),
-                    );
-                    out.emissions.push((key, a));
+                for (k, c) in sessions.iter().enumerate() {
+                    emit((0, g as u64, k as u32), c);
                 }
             }
-            // flush (not the consuming finish): the sealed digest of a
-            // spilled final session must still be claimable afterwards.
-            let final_sessions = machine.flush();
-            for (k, s) in final_sessions.iter().enumerate() {
-                let digest = claim_digest(&mut machine, s);
-                let key = (1, subscriber, k as u32);
-                let a = self.assess_one(
-                    subs,
-                    s,
-                    digest.as_ref(),
-                    sink.as_mut().map(|t| (t, key, subscriber)),
-                );
-                out.emissions.push((key, a));
+            for (k, c) in lane.flush().iter().enumerate() {
+                emit((1, subscriber, k as u32), c);
             }
             out.anomaly_total += log.total();
             out.kinds.absorb(&log.kinds());
@@ -476,7 +457,7 @@ impl<'a> AssessmentEngine<'a> {
         }
         if let Some(span) = span {
             let ticks = span.finish();
-            if let Some(m) = &self.metrics {
+            if let Some(m) = metrics {
                 m.shard_jobs.inc();
                 m.worker_busy_ticks.add(ticks);
                 m.observe_health_delta(&StreamHealth::default(), &out.health);
@@ -561,91 +542,6 @@ impl<'a> AssessmentEngine<'a> {
             alerts: Vec::new(),
         };
         (report, trace)
-    }
-
-    fn assess_one(
-        &self,
-        subs: &SubscriptionSet<'_>,
-        session: &ReassembledSession,
-        digest: Option<&SessionDigest>,
-        trace: Option<(&mut TraceSink, EmissionKey, u64)>,
-    ) -> SessionAssessment {
-        let obs = SessionObs::from_reassembled(session);
-        let view = SessionView::over(&obs, session);
-        // Mirrors the streaming path's tiering exactly (the engine ↔
-        // online byte-identity contract): a session whose chunks spilled
-        // past the exactness cap is `Sketched`, everything else `Full`.
-        let fidelity = if session.spilled_chunks > 0 {
-            Fidelity::Sketched
-        } else {
-            Fidelity::Full
-        };
-        let assessment = match (digest, trace) {
-            (None, None) => subs.assess_session(view),
-            (None, Some((sink, key, subscriber))) => {
-                let mut delivered: Vec<&'static str> = Vec::new();
-                let assessment = subs.assess_session_observed(view, |_, name| delivered.push(name));
-                record_session_spans(sink, key, subscriber, session, &delivered);
-                assessment
-            }
-            (Some(d), trace) => {
-                let assessment = subs.assess_session_sketched(view, d);
-                if let Some((sink, key, subscriber)) = trace {
-                    record_session_spans(sink, key, subscriber, session, &subs.names());
-                }
-                assessment
-            }
-        }
-        .with_fidelity(fidelity);
-        if let Some(m) = &self.metrics {
-            m.observe_session(session, &assessment);
-            if session.spilled_chunks > 0 {
-                m.sessions_sketched.inc();
-            }
-        }
-        assessment
-    }
-}
-
-/// Record one emitted session's span chain: ingest (all records),
-/// reassemble (media chunks), fan-out, then one deliver span per
-/// detector. Ticks are deterministic work units — one per record
-/// examined — anchored at the session's start time in tap
-/// microseconds, so the chain is a pure function of the session
-/// content and Perfetto lays sessions out along tap time.
-fn record_session_spans(
-    sink: &mut TraceSink,
-    key: EmissionKey,
-    subscriber: u64,
-    session: &ReassembledSession,
-    delivered: &[&'static str],
-) {
-    let session_id = session.start.as_micros();
-    let chunks = (session.chunks.len() as u64).max(1);
-    let records = chunks + session.other.len() as u64;
-    let mut tick = session_id;
-    let head = [
-        (TraceStage::Ingest, records, ""),
-        (TraceStage::Reassemble, chunks, ""),
-        (TraceStage::Fanout, (delivered.len() as u64).max(1), ""),
-    ];
-    let spans = head.into_iter().chain(
-        delivered
-            .iter()
-            .map(|&name| (TraceStage::Deliver, chunks, name)),
-    );
-    for (seq, (stage, dur_ticks, detail)) in spans.enumerate() {
-        sink.record(TraceEvent {
-            key,
-            seq: seq as u32,
-            stage,
-            subscriber,
-            session: session_id,
-            start_tick: tick,
-            dur_ticks,
-            detail,
-        });
-        tick += dur_ticks;
     }
 }
 

@@ -53,7 +53,10 @@
 //! operator API), [`subscribe`] (the typed subscription ingest API:
 //! one pass, many detectors), [`engine`] (the sharded parallel
 //! assessment engine), [`online`] (the streaming path), [`digest`]
-//! (bounded-memory per-session digests behind the sketched tier).
+//! (bounded-memory per-session digests behind the sketched tier). The
+//! engine, the streaming path and the batch path assess every session
+//! through one private subscriber lane, so a session gets the same tier
+//! on all three.
 //!
 //! Downstream code that just wants "the monitor and friends" can
 //! `use vqoe_core::prelude::*;`.
@@ -68,6 +71,7 @@ pub mod digest;
 pub mod encrypted;
 pub mod engine;
 pub mod generate;
+mod lane;
 pub mod metrics;
 pub mod monitor;
 pub mod online;

@@ -409,8 +409,9 @@ impl PipelineMetrics {
         }
     }
 
-    /// Record one assessed session: chunk sizes, duration, and the
-    /// class each frozen detector predicted.
+    /// Record one assessed session: chunk sizes, duration, whether it
+    /// spilled past the exactness cap, and the class each frozen
+    /// detector predicted.
     pub(crate) fn observe_session(
         &self,
         session: &ReassembledSession,
@@ -431,6 +432,9 @@ impl PipelineMetrics {
             assessment.end.as_micros(),
         );
         self.sessions_assessed.inc();
+        if session.spilled_chunks > 0 {
+            self.sessions_sketched.inc();
+        }
         if assessment.qoe.is_poor() {
             self.sessions_poor_qoe.inc();
         }

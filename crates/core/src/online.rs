@@ -34,16 +34,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
-use vqoe_features::{SessionObs, SessionView};
 use vqoe_obs::{Alert, AlertEngine};
 use vqoe_simnet::time::Instant;
 use vqoe_telemetry::{
-    validate_entry, AnomalyLog, IngestAnomaly, IngestConfig, ReassembledSession, ReassemblerState,
-    RobustReassembler, StreamHealth, WeblogEntry,
+    validate_entry, AnomalyLog, IngestAnomaly, IngestConfig, ReassemblerState, StreamHealth,
+    WeblogEntry,
 };
 
-use crate::digest::{claim_digest, install_digest_sink, DigestSink, SessionDigest};
 use crate::engine::{shard_of, EngineConfig};
+use crate::lane::{self, Claimed, SubscriberLane};
 use crate::metrics::PipelineMetrics;
 use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
 
@@ -304,7 +303,7 @@ impl Deserialize for IngestReport {
 struct ShardState {
     // BTreeMap, not HashMap: `finish` walks these maps, and assessments
     // must come out in a stable (subscriber-id) order run after run.
-    per_subscriber: BTreeMap<u64, RobustReassembler>,
+    per_subscriber: BTreeMap<u64, SubscriberLane>,
     health: StreamHealth,
 }
 
@@ -549,10 +548,10 @@ impl OnlineAssessor {
                     break;
                 }
             }
-            let machine = self.new_machine();
+            let lane = SubscriberLane::new(&self.monitor, self.ingest_cfg);
             self.shards[shard]
                 .per_subscriber
-                .insert(entry.subscriber_id, machine);
+                .insert(entry.subscriber_id, lane);
             self.tracked += 1;
             if let Some(m) = &self.metrics {
                 m.open_subscribers.set(self.tracked as i64);
@@ -560,17 +559,17 @@ impl OnlineAssessor {
         }
         let shard_state = &mut self.shards[shard];
         let mut over_subscriber_budget = false;
-        if let Some(machine) = shard_state.per_subscriber.get_mut(&entry.subscriber_id) {
-            let before = machine.watermark();
-            let cost_before = machine.tracked_cost();
+        if let Some(lane) = shard_state.per_subscriber.get_mut(&entry.subscriber_id) {
+            let before = lane.machine().watermark();
+            let cost_before = lane.machine().tracked_cost();
             // Snapshot health/kind counters around the push so the
             // registry sees exactly the deltas this entry caused
             // (`entries_seen` was already counted above).
             let health_before = shard_state.health;
             let kinds_before = self.anomalies.kinds();
-            let sessions = machine.push(entry, &mut shard_state.health, &mut self.anomalies);
-            let after = machine.watermark();
-            let cost_after = machine.tracked_cost();
+            let claimed = lane.push(entry, &mut shard_state.health, &mut self.anomalies);
+            let after = lane.machine().watermark();
+            let cost_after = lane.machine().tracked_cost();
             self.tracked_bytes = self
                 .tracked_bytes
                 .saturating_sub(cost_before)
@@ -587,11 +586,6 @@ impl OnlineAssessor {
                 m.bytes_per_subscriber
                     .set((self.tracked_bytes / self.tracked.max(1) as u64) as i64);
             }
-            // Claim each emitted session's sealed digest (FIFO with the
-            // reassembler's seal calls) while the machine is still
-            // borrowed; spilled sessions are assessed from it below.
-            let digests: Vec<Option<SessionDigest>> =
-                sessions.iter().map(|s| claim_digest(machine, s)).collect();
             if before != after {
                 if let Some(w) = before {
                     self.lru.remove(&(w, entry.subscriber_id));
@@ -600,12 +594,7 @@ impl OnlineAssessor {
                     self.lru.insert((w, entry.subscriber_id));
                 }
             }
-            out.extend(
-                sessions
-                    .iter()
-                    .zip(&digests)
-                    .map(|(s, d)| self.assess_with_digest(s, Fidelity::Full, d.as_ref())),
-            );
+            out.extend(self.assess(&claimed, Fidelity::Full));
         }
         // A subscriber that outgrew its own budget is force-finalized
         // immediately: its buffered remains are assessed at the `Shed`
@@ -703,7 +692,7 @@ impl OnlineAssessor {
         self.shards
             .iter()
             .flat_map(|s| s.per_subscriber.values())
-            .filter(|m| m.open_entries() > 0)
+            .filter(|lane| lane.machine().open_entries() > 0)
             .count()
     }
 
@@ -723,14 +712,16 @@ impl OnlineAssessor {
     fn force_finalize(&mut self, id: u64, reason: ShedReason) -> Vec<SessionAssessment> {
         let shard = shard_of(id, self.shards.len());
         let shard_state = &mut self.shards[shard];
-        let Some(mut machine) = shard_state.per_subscriber.remove(&id) else {
+        let Some(mut lane) = shard_state.per_subscriber.remove(&id) else {
             return Vec::new();
         };
-        if let Some(w) = machine.watermark() {
+        if let Some(w) = lane.machine().watermark() {
             self.lru.remove(&(w, id));
         }
         self.tracked -= 1;
-        self.tracked_bytes = self.tracked_bytes.saturating_sub(machine.tracked_cost());
+        self.tracked_bytes = self
+            .tracked_bytes
+            .saturating_sub(lane.machine().tracked_cost());
         let fidelity = match reason {
             ShedReason::LruCapacity => Fidelity::Partial,
             _ => Fidelity::Shed,
@@ -739,12 +730,8 @@ impl OnlineAssessor {
             ShedReason::LruCapacity => shard_state.health.sessions_evicted += 1,
             _ => shard_state.health.sessions_shed += 1,
         }
-        let sessions = machine.flush();
-        let digests: Vec<Option<SessionDigest>> = sessions
-            .iter()
-            .map(|s| claim_digest(&mut machine, s))
-            .collect();
-        shard_state.health.sessions_partial += sessions.len() as u64;
+        let claimed = lane.flush();
+        shard_state.health.sessions_partial += claimed.len() as u64;
         self.shed.record(ShedEvent {
             subscriber_id: id,
             at_record: self.records_ingested,
@@ -761,18 +748,14 @@ impl OnlineAssessor {
                     m.sessions_shed.inc();
                 }
             }
-            m.sessions_partial.add(sessions.len() as u64);
+            m.sessions_partial.add(claimed.len() as u64);
             m.shed_reason(reason).inc();
             m.open_subscribers.set(self.tracked as i64);
             m.tracked_bytes.set(self.tracked_bytes as i64);
             m.bytes_per_subscriber
                 .set((self.tracked_bytes / self.tracked.max(1) as u64) as i64);
         }
-        sessions
-            .iter()
-            .zip(&digests)
-            .map(|(s, d)| self.assess_with_digest(s, fidelity, d.as_ref()))
-            .collect()
+        self.assess(&claimed, fidelity)
     }
 
     fn drain(&mut self) -> Vec<SessionAssessment> {
@@ -787,61 +770,29 @@ impl OnlineAssessor {
         // Subscriber-id order across all shards, exactly as the
         // pre-shard single map walked it (and exactly the order the
         // parallel engine's phase-1 emission keys reproduce).
-        let mut machines: Vec<(u64, RobustReassembler)> = self
+        let mut lanes: Vec<(u64, SubscriberLane)> = self
             .shards
             .iter_mut()
             .flat_map(|s| std::mem::take(&mut s.per_subscriber))
             .collect();
-        machines.sort_by_key(|&(id, _)| id);
-        machines
+        lanes.sort_by_key(|&(id, _)| id);
+        lanes
             .into_iter()
-            .flat_map(|(_, mut m)| {
-                let sessions = m.flush();
-                let digests: Vec<Option<SessionDigest>> =
-                    sessions.iter().map(|s| claim_digest(&mut m, s)).collect();
-                sessions.into_iter().zip(digests)
-            })
-            .map(|(s, d)| self.assess_with_digest(&s, Fidelity::Full, d.as_ref()))
+            .flat_map(|(_, mut lane)| self.assess(&lane.flush(), Fidelity::Full))
             .collect()
     }
 
-    /// Build one subscriber's hardened reassembler with the streaming
-    /// digest sink installed (sketched-tier coverage from record one).
-    fn new_machine(&self) -> RobustReassembler {
-        let mut machine = RobustReassembler::new(self.monitor.reassembly, self.ingest_cfg);
-        install_digest_sink(&mut machine, *self.monitor.switch_model.scoring());
-        machine
-    }
-
-    fn assess_with_digest(
-        &self,
-        session: &ReassembledSession,
-        fidelity: Fidelity,
-        digest: Option<&SessionDigest>,
-    ) -> SessionAssessment {
-        let obs = SessionObs::from_reassembled(session);
-        let view = SessionView::over(&obs, session);
+    /// Assess claimed sessions through the lane's one assess step at
+    /// the caller's tier.
+    fn assess(&self, claimed: &[Claimed], tier: Fidelity) -> Vec<SessionAssessment> {
+        if claimed.is_empty() {
+            return Vec::new();
+        }
         let subs = self.monitor.subscriptions();
-        // A session whose chunks spilled past the exactness cap is at
-        // best `Sketched`; eviction/shedding tiers dominate when both
-        // degradations apply.
-        let effective = if session.spilled_chunks > 0 {
-            fidelity.max(Fidelity::Sketched)
-        } else {
-            fidelity
-        };
-        let a = match digest {
-            Some(d) => subs.assess_session_sketched(view, d),
-            None => subs.assess_session(view),
-        }
-        .with_fidelity(effective);
-        if let Some(m) = &self.metrics {
-            m.observe_session(session, &a);
-            if session.spilled_chunks > 0 {
-                m.sessions_sketched.inc();
-            }
-        }
-        a
+        claimed
+            .iter()
+            .map(|c| lane::assess(&subs, self.metrics.as_ref(), c, tier, None))
+            .collect()
     }
 
     /// Snapshot the complete online state into a deterministic,
@@ -863,7 +814,7 @@ impl OnlineAssessor {
                     subscribers: s
                         .per_subscriber
                         .iter()
-                        .map(|(id, m)| (*id, m.to_state()))
+                        .map(|(id, lane)| (*id, lane.machine().to_state()))
                         .collect(),
                 })
                 .collect(),
@@ -915,20 +866,9 @@ impl OnlineAssessor {
                         "subscriber routed to the wrong shard",
                     ));
                 }
-                let mut machine = RobustReassembler::from_state(state.clone());
-                // Rehydrate the streaming digest sink: from its own
-                // snapshot when the checkpoint carried one (v2+), fresh
-                // otherwise (v1 checkpoints predate spilling, so no
-                // in-flight digest existed to lose).
-                let sink = state
-                    .inner
-                    .spill_json
-                    .as_deref()
-                    .and_then(DigestSink::from_json)
-                    .unwrap_or_else(|| DigestSink::new(*monitor.switch_model.scoring()));
-                machine.attach_spill(Box::new(sink));
-                tracked_bytes += machine.tracked_cost();
-                if per_subscriber.insert(*id, machine).is_some() {
+                let lane = SubscriberLane::restore(&monitor, state.clone());
+                tracked_bytes += lane.machine().tracked_cost();
+                if per_subscriber.insert(*id, lane).is_some() {
                     return Err(RestoreError::Corrupt("duplicate subscriber in one shard"));
                 }
             }
@@ -947,7 +887,7 @@ impl OnlineAssessor {
         for &(w, id) in &lru {
             let shard = shard_of(id, n);
             match shards[shard].per_subscriber.get(&id) {
-                Some(m) if m.watermark() == Some(w) => {}
+                Some(lane) if lane.machine().watermark() == Some(w) => {}
                 _ => {
                     return Err(RestoreError::Corrupt(
                         "LRU entry disagrees with its subscriber's watermark",

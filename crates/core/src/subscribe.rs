@@ -4,12 +4,12 @@
 //! *same* per-session observations (§5): a stall forest, a
 //! representation forest and a σ(CUSUM) switch threshold. Historically
 //! each caller re-derived those observations through its own entry
-//! point (`assess_subscriber`, `assess_corpus`, the streaming
-//! assessor's private path). This module inverts that: detectors
+//! point (per subscriber, per corpus, and the streaming assessor's
+//! private path). This module inverts that: detectors
 //! *subscribe* to a single shared ingest pass, which parses each weblog
 //! record exactly once, reassembles sessions once, extracts one
-//! [`SessionObs`] per session — and fans the resulting [`SessionView`]
-//! out to every registered [`Subscription`].
+//! [`SessionObs`](vqoe_features::SessionObs) per session — and fans the
+//! resulting [`SessionView`] out to every registered [`Subscription`].
 //!
 //! The pieces, bottom-up:
 //!
@@ -19,13 +19,15 @@
 //!   immutable view, produce a signal. Object-safe, `Send + Sync`, so
 //!   a set of subscriptions can be shared across engine workers.
 //! * [`SubscriptionSet`] — the registered detectors. Its
-//!   [`assess_session`](SubscriptionSet::assess_session) fold is **the**
-//!   per-session assessment implementation: [`QoeMonitor`],
-//!   [`AssessmentEngine`] and the streaming
-//!   [`OnlineAssessor`](crate::online::OnlineAssessor) all route
-//!   through it, which is what makes the byte-identity contract
-//!   (same corpus → bit-identical [`IngestReport`] on every path, at
-//!   any worker count) a structural property instead of a test hope.
+//!   [`assess_session`](SubscriptionSet::assess_session) fold (and its
+//!   sketched twin) is **the** per-session assessment implementation.
+//!   [`AssessmentEngine`], the streaming
+//!   [`OnlineAssessor`](crate::online::OnlineAssessor) and
+//!   [`IngestPipeline::assess_subscriber`] all reach it through one
+//!   subscriber lane (`crate::lane`), which alone picks a session's tier
+//!   and fold. That is what makes the byte-identity contract (same
+//!   corpus → bit-identical [`IngestReport`] on every path, at any
+//!   worker count) a structural property instead of a test hope.
 //! * [`IngestPipeline`] — the one front door: batch slices, packed
 //!   binary corpora ([`BinaryCorpus`], no serde on the hot path) and
 //!   single-subscriber streams, all over the same subscription fold.
@@ -36,13 +38,14 @@
 //! perturbing the report, so adding a fourth detector can never change
 //! what the standard three produce.
 
-use vqoe_features::{RqClass, SessionObs, SessionView, StallClass};
+use vqoe_features::{RqClass, SessionView, StallClass};
 use vqoe_obs::{Trace, TraceConfig};
-use vqoe_telemetry::{reassemble_subscriber, BinaryCorpus, BinlogError, IngestConfig, WeblogEntry};
+use vqoe_telemetry::{BinaryCorpus, BinlogError, IngestConfig, WeblogEntry};
 
 use crate::avgrep_pipeline::RepresentationModel;
 use crate::digest::SessionDigest;
 use crate::engine::{AssessmentEngine, EngineConfig};
+use crate::lane;
 use crate::metrics::PipelineMetrics;
 use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
 use crate::online::IngestReport;
@@ -459,15 +462,14 @@ impl<'m> IngestPipeline<'m> {
 
     /// Assess one subscriber's raw (possibly encrypted) stream
     /// sequentially: reassemble sessions once, then fan each session's
-    /// view out to the standard subscriptions.
+    /// view out to the standard subscriptions. Sessions past the
+    /// exactness cap are assessed from their digests at the `Sketched`
+    /// tier, exactly as on the engine and streaming paths.
     pub fn assess_subscriber(&self, entries: &[WeblogEntry]) -> Vec<SessionAssessment> {
         let subs = SubscriptionSet::standard(self.monitor);
-        reassemble_subscriber(entries, &self.monitor.reassembly)
+        lane::claim_batch(self.monitor, entries)
             .iter()
-            .map(|session| {
-                let obs = SessionObs::from_reassembled(session);
-                subs.assess_session(SessionView::over(&obs, session))
-            })
+            .map(|c| lane::assess(&subs, self.metrics.as_ref(), c, Fidelity::Full, None))
             .collect()
     }
 }
@@ -478,6 +480,8 @@ mod tests {
     use crate::encrypted::{EncryptedEvalConfig, EncryptedWorld};
     use crate::monitor::TrainingConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use vqoe_features::SessionObs;
+    use vqoe_telemetry::reassemble_subscriber;
 
     fn monitor() -> QoeMonitor {
         QoeMonitor::train(&TrainingConfig {
@@ -517,17 +521,6 @@ mod tests {
             let folded = set.assess_session(SessionView::over(&obs, session));
             assert_eq!(legacy, folded);
         }
-    }
-
-    #[test]
-    fn pipeline_assess_subscriber_matches_the_monitor_shim() {
-        let m = monitor();
-        let w = world(83, 8);
-        let via_pipeline = IngestPipeline::new(&m).assess_subscriber(&w.entries);
-        #[allow(deprecated)]
-        let via_monitor = m.assess_subscriber(&w.entries);
-        assert!(!via_pipeline.is_empty());
-        assert_eq!(via_pipeline, via_monitor);
     }
 
     #[test]

@@ -12,18 +12,7 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> vqoe-analyze (ten passes: determinism / panic-path / constants / hygiene / bounded / clock / locks / floatord / clones / stale-allow)"
-cargo build -q -p vqoe-analyze
-ANALYZE=target/debug/vqoe-analyze
-CACHE=target/vqoe-analyze.cache
-rm -f "$CACHE"
-t0=$(date +%s%N)
-"$ANALYZE" --cache
-t1=$(date +%s%N)
-"$ANALYZE" --cache
-t2=$(date +%s%N)
-cold_ms=$(( (t1 - t0) / 1000000 ))
-warm_ms=$(( (t2 - t1) / 1000000 ))
-echo "vqoe-analyze timing: cold ${cold_ms}ms, warm ${warm_ms}ms (incremental cache)"
+cargo run -q -p vqoe-analyze
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q

@@ -8,6 +8,8 @@
 //!   `partial: false`, keep exact session boundaries, and their
 //!   predictions match the fully-buffered reference within pinned
 //!   tolerances — identically at every worker count;
+//! * the batch path (`assess_subscriber`) tiers and assesses spilled
+//!   sessions exactly as the streaming path does;
 //! * edge sessions (empty, single-chunk, all-NaN metric column) behave
 //!   identically on both paths.
 
@@ -201,6 +203,13 @@ fn sketched_sessions_carry_the_tier_and_pinned_tolerance_predictions() {
     let sketched = streamed(&monitor_with_cap(32), &entries);
     assert_eq!(full.len(), 3);
     assert_eq!(sketched.len(), full.len());
+    // The batch path gives every session the same tier and the same
+    // digest-based assessment as the streaming path.
+    assert_eq!(
+        monitor_with_cap(32).pipeline().assess_subscriber(&entries),
+        sketched,
+        "batch path diverged from the streaming path past the cap"
+    );
 
     for (f, s) in full.iter().zip(&sketched) {
         assert_eq!(f.fidelity, Fidelity::Full);

@@ -3,8 +3,8 @@
 //!
 //! * JSON → pack → unpack is **bit-identical** at the entry level, and
 //!   the packed corpus replays into the exact same [`IngestReport`] as
-//!   the JSONL decode — through the legacy shim, the subscription
-//!   pipeline and the binary path — at worker counts 1, 2 and 7;
+//!   the JSONL decode — through the subscription pipeline and the
+//!   binary path — at worker counts 1, 2 and 7;
 //! * truncated and corrupted corpora are rejected with typed errors,
 //!   never a panic and never a silently short decode;
 //! * extension subscriptions observe every session without perturbing
@@ -85,15 +85,9 @@ fn all_replay_paths_agree_at_every_worker_count() {
         let pipeline = IngestPipeline::new(monitor()).with_engine(cfg);
         let subscription_path: IngestReport = pipeline.assess(&entries);
         let binary_path = pipeline.assess_binary(&corpus).expect("corpus replays");
-        #[allow(deprecated)]
-        let legacy_path = monitor().assess_corpus(&entries, &cfg);
         assert_eq!(
             subscription_path, binary_path,
             "binary replay diverged at {workers} workers"
-        );
-        assert_eq!(
-            subscription_path, legacy_path,
-            "legacy shim diverged at {workers} workers"
         );
         assert!(!subscription_path.assessments.is_empty());
     }
