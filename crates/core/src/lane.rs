@@ -103,25 +103,27 @@ impl SubscriberLane {
 /// Batch form for one subscriber's whole stream: the plain §5.2 machine
 /// over its service entries in timestamp order (as
 /// `vqoe_telemetry::reassemble_subscriber` runs it), with the digest
-/// sink a lane installs. Digests are sealed in emission order, so
-/// claiming them after the run pairs each with its session.
+/// sink a lane installs and each session's digest claimed as it is
+/// emitted.
 pub(crate) fn claim_batch(monitor: &QoeMonitor, entries: &[WeblogEntry]) -> Vec<Claimed> {
     let mut service: Vec<&WeblogEntry> = entries.iter().filter(|e| e.is_service_host()).collect();
     service.sort_by_key(|e| e.timestamp);
     let mut machine = StreamReassembler::new(monitor.reassembly)
         .with_spill(Box::new(DigestSink::new(*monitor.switch_model.scoring())));
-    let mut sessions: Vec<ReassembledSession> = service
-        .into_iter()
-        .filter_map(|e| machine.push(e))
-        .collect();
-    sessions.extend(machine.finish_in_place());
-    sessions
-        .into_iter()
-        .map(|session| Claimed {
-            digest: claim_from(machine.spill_sink_mut(), &session),
-            session,
-        })
-        .collect()
+    let claim = |machine: &mut StreamReassembler, session| Claimed {
+        digest: claim_from(machine.spill_sink_mut(), &session),
+        session,
+    };
+    let mut claimed = Vec::new();
+    for e in service {
+        if let Some(session) = machine.push(e) {
+            claimed.push(claim(&mut machine, session));
+        }
+    }
+    if let Some(session) = machine.finish_in_place() {
+        claimed.push(claim(&mut machine, session));
+    }
+    claimed
 }
 
 /// Assess one claimed session at the caller's `tier` (`Full`, or
