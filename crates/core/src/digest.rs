@@ -14,10 +14,10 @@
 //! The plumbing is the [`SpillSink`] trait from `vqoe-telemetry` (which
 //! cannot depend on the feature/detector crates, so the dependency is
 //! inverted): [`DigestSink`] implements it, the subscriber lane
-//! (`crate::lane`) installs one per machine, and [`claim_digest`] pops the sealed digest
-//! matching each emitted spilled session — a strict FIFO, because the
-//! reassembler seals (or discards) exactly once per emission with any
-//! spill activity.
+//! (`crate::lane`) installs one per machine, and [`claim_digest`] pops
+//! the sealed digest matching each emitted spilled session — a strict
+//! FIFO, because the reassembler seals (or discards) exactly once per
+//! emission with any spill activity.
 //!
 //! [`Fidelity::Sketched`]: crate::Fidelity::Sketched
 

@@ -785,6 +785,8 @@ impl OnlineAssessor {
     /// Assess claimed sessions through the lane's one assess step at
     /// the caller's tier.
     fn assess(&self, claimed: &[Claimed], tier: Fidelity) -> Vec<SessionAssessment> {
+        // Most entries close no session: skip building the subscription
+        // set for them.
         if claimed.is_empty() {
             return Vec::new();
         }
