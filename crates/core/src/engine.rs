@@ -104,11 +104,17 @@ impl EngineConfig {
 /// subscriber id, reduced modulo `shards`. Stable across runs and
 /// platforms, well-mixed even for sequential ids.
 pub fn shard_of(subscriber_id: u64, shards: usize) -> usize {
+    (mix_id(subscriber_id) % shards.max(1) as u64) as usize
+}
+
+/// The splitmix64 finalizer behind [`shard_of`]: a fixed 64-bit
+/// bijection with full avalanche. The online assessor's subscriber
+/// index hashes with it too.
+pub(crate) fn mix_id(subscriber_id: u64) -> u64 {
     let mut z = subscriber_id.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % shards.max(1) as u64) as usize
+    z ^ (z >> 31)
 }
 
 /// One shard's work: which global entry indices (in arrival order)

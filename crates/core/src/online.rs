@@ -20,18 +20,26 @@
 //! absorbed is reported through [`StreamHealth`] and the typed
 //! [`AnomalyLog`].
 //!
-//! Since the engine PR, subscriber state is partitioned onto
-//! [`EngineConfig::shards`](crate::engine::EngineConfig) shards by the
-//! same [`shard_of`](crate::engine::shard_of) hash the parallel batch
-//! engine uses, and health counters accumulate per shard. That makes
-//! the streaming path the single-threaded projection of the sharded
-//! engine: [`AssessmentEngine::assess`](crate::engine::AssessmentEngine)
-//! over a capture produces a bit-identical [`IngestReport`] — same
-//! assessments in the same order, same per-shard health, same anomaly
-//! log. Eviction (the memory cap) stays *global* across shards, exactly
-//! as before.
+//! Health counters accumulate per
+//! [`EngineConfig::shards`](crate::engine::EngineConfig) shard, routed by
+//! the same [`shard_of`](crate::engine::shard_of) hash the parallel batch
+//! engine uses. That makes the streaming path the single-threaded
+//! projection of the sharded engine:
+//! [`AssessmentEngine::assess`](crate::engine::AssessmentEngine) over a
+//! capture produces a bit-identical [`IngestReport`] — same assessments
+//! in the same order, same per-shard health, same anomaly log. Eviction
+//! (the memory cap) is *global* across shards.
+//!
+//! Subscriber state itself is one flat table, not a per-shard map: a
+//! slab of lanes in admission order, found through a fixed-hash index,
+//! plus a lazily pruned min-heap of `(watermark, id)` pairs for eviction.
+//! A record costs one hash probe and at most one heap push. The orders
+//! the output shows — coldest-first eviction, end-of-stream flushes and
+//! checkpoints by subscriber id — are derived where they are used.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 use vqoe_obs::{Alert, AlertEngine};
@@ -41,7 +49,7 @@ use vqoe_telemetry::{
     WeblogEntry,
 };
 
-use crate::engine::{shard_of, EngineConfig};
+use crate::engine::{mix_id, shard_of, EngineConfig};
 use crate::lane::{self, Claimed, SubscriberLane};
 use crate::metrics::PipelineMetrics;
 use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
@@ -297,14 +305,28 @@ impl Deserialize for IngestReport {
     }
 }
 
-/// One shard's streaming state: the subscribers hashed onto it and the
-/// health its entries accumulated.
-#[derive(Debug, Clone, Default)]
-struct ShardState {
-    // BTreeMap, not HashMap: `finish` walks these maps, and assessments
-    // must come out in a stable (subscriber-id) order run after run.
-    per_subscriber: BTreeMap<u64, SubscriberLane>,
-    health: StreamHealth,
+/// Hashes a subscriber id with [`shard_of`]'s finalizer: a few
+/// multiplies where the default hasher runs a SipHash round per probe.
+/// It is fixed and unkeyed, like shard routing, so it does not protect
+/// against ids crafted to collide; the index it serves is only probed,
+/// never iterated, so no order leaks from it.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix_id(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = mix_id(id);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A streaming wrapper over a trained [`QoeMonitor`].
@@ -312,19 +334,24 @@ struct ShardState {
 pub struct OnlineAssessor {
     monitor: QoeMonitor,
     ingest_cfg: IngestConfig,
-    /// Subscriber state, partitioned by [`shard_of`]. Bounded globally:
-    /// `ingest` evicts the least-recently-active subscriber (across all
-    /// shards) whenever `tracked` would exceed
-    /// `ingest_cfg.max_open_subscribers`.
-    shards: Vec<ShardState>,
-    /// Eviction index: (activity watermark, subscriber id), oldest
-    /// first. Global — it mirrors the union of all shard maps. Ties on
-    /// the watermark are broken by the subscriber id (ascending), so
-    /// "coldest" is a total, deterministic order even when many
-    /// subscribers share one activity tick.
-    lru: BTreeSet<(Instant, u64)>,
-    /// Total subscribers currently tracked across all shards.
-    tracked: usize,
+    /// Health counters per shard, routed by [`shard_of`].
+    shard_health: Vec<StreamHealth>,
+    /// Every tracked subscriber's lane, in admission order (a
+    /// `swap_remove` moves the last lane into a freed slot). Bounded:
+    /// `ingest` evicts the least-recently-active subscriber whenever the
+    /// table would outgrow `ingest_cfg.max_open_subscribers`. Where the
+    /// order shows, it is sorted by subscriber id first.
+    lanes: Vec<(u64, SubscriberLane)>,
+    /// Where each tracked subscriber's lane sits in `lanes`.
+    index: HashMap<u64, u32, BuildHasherDefault<IdHasher>>,
+    /// Eviction index: a min-heap of (activity watermark, subscriber
+    /// id) pairs, one pushed whenever a lane's watermark moves. A pair
+    /// is live while it matches its lane's current watermark; the
+    /// coldest subscriber is the smallest live pair, and stale pairs are
+    /// popped when they surface. Ties on the watermark are broken by the
+    /// subscriber id (ascending), so "coldest" is a total, deterministic
+    /// order even when many subscribers share one activity tick.
+    lru: BinaryHeap<Reverse<(Instant, u64)>>,
     /// Memory budgets and admission policy (default: unlimited).
     budget: BudgetConfig,
     /// Buffered bytes currently tracked across all subscribers, in
@@ -382,11 +409,10 @@ impl OnlineAssessor {
             anomalies: AnomalyLog::new(ingest_cfg.max_anomalies_kept),
             shed: ShedLog::new(ingest_cfg.max_anomalies_kept),
             ingest_cfg,
-            shards: (0..engine_cfg.shards.max(1))
-                .map(|_| ShardState::default())
-                .collect(),
-            lru: BTreeSet::new(),
-            tracked: 0,
+            shard_health: vec![StreamHealth::default(); engine_cfg.shards.max(1)],
+            lanes: Vec::new(),
+            index: HashMap::default(),
+            lru: BinaryHeap::new(),
             budget: BudgetConfig::default(),
             tracked_bytes: 0,
             peak_tracked_bytes: 0,
@@ -446,15 +472,15 @@ impl OnlineAssessor {
     /// shards).
     pub fn health(&self) -> StreamHealth {
         let mut total = StreamHealth::default();
-        for s in &self.shards {
-            total.absorb(&s.health);
+        for h in &self.shard_health {
+            total.absorb(h);
         }
         total
     }
 
     /// Health counters per shard, indexed by shard id.
     pub fn shard_health(&self) -> Vec<StreamHealth> {
-        self.shards.iter().map(|s| s.health).collect()
+        self.shard_health.clone()
     }
 
     /// The quarantine log accumulated so far.
@@ -494,126 +520,72 @@ impl OnlineAssessor {
     /// flushed stream contained complete sessions.
     pub fn ingest(&mut self, entry: &WeblogEntry) -> Vec<SessionAssessment> {
         self.records_ingested += 1;
-        let shard = shard_of(entry.subscriber_id, self.shards.len());
-        self.shards[shard].health.entries_seen += 1;
+        let id = entry.subscriber_id;
+        let shard = shard_of(id, self.shard_health.len());
+        self.shard_health[shard].entries_seen += 1;
         if let Some(m) = &self.metrics {
             m.entries_seen.inc();
         }
         let mut out = Vec::new();
-        if !self.shards[shard]
-            .per_subscriber
-            .contains_key(&entry.subscriber_id)
-        {
-            // Quarantine malformed records and drop non-service noise
-            // *before* a tracking slot is spent on the subscriber.
-            if let Some(kind) = validate_entry(entry, &self.ingest_cfg) {
-                self.shards[shard].health.entries_quarantined += 1;
-                self.anomalies.record(IngestAnomaly {
-                    subscriber_id: entry.subscriber_id,
-                    timestamp: entry.timestamp,
-                    kind,
-                });
-                if let Some(m) = &self.metrics {
-                    m.entries_quarantined.inc();
-                    m.anomaly_kind(kind).inc();
-                }
-                return out;
+        let slot = match self.index.get(&id) {
+            Some(&slot) => slot as usize,
+            None => match self.admit(entry, shard, &mut out) {
+                Some(slot) => slot,
+                None => return out,
+            },
+        };
+        let lane = &mut self.lanes[slot].1;
+        let health = &mut self.shard_health[shard];
+        let before = lane.machine().watermark();
+        let cost_before = lane.machine().tracked_cost();
+        // Snapshot health/kind counters around the push so the registry
+        // sees exactly the deltas this entry caused (`entries_seen` was
+        // already counted above).
+        let health_before = *health;
+        let kinds_before = self.anomalies.kinds();
+        let claimed = lane.push(entry, health, &mut self.anomalies);
+        let after = lane.machine().watermark();
+        let cost_after = lane.machine().tracked_cost();
+        self.tracked_bytes = self
+            .tracked_bytes
+            .saturating_sub(cost_before)
+            .saturating_add(cost_after);
+        self.peak_tracked_bytes = self.peak_tracked_bytes.max(self.tracked_bytes);
+        let over_subscriber_budget =
+            self.budget.per_subscriber_bytes > 0 && cost_after > self.budget.per_subscriber_bytes;
+        if let Some(m) = &self.metrics {
+            // Most entries move no counter: skip the per-counter adds.
+            if *health != health_before {
+                m.observe_health_delta(&health_before, health);
             }
-            if !entry.is_service_host() {
-                return out;
+            let kinds_after = self.anomalies.kinds();
+            if kinds_after != kinds_before {
+                m.observe_kind_delta(&kinds_before, &kinds_after);
             }
-            // Admission control: under `Refuse`, a newcomer that does
-            // not fit the remaining global budget is turned away at the
-            // door — counted and logged, its record dropped.
-            if self.budget.admission == AdmissionPolicy::Refuse
-                && self.budget.global_bytes > 0
-                && self.tracked_bytes + entry.tracked_cost() > self.budget.global_bytes
-            {
-                self.shards[shard].health.subscribers_refused += 1;
-                self.shed.record(ShedEvent {
-                    subscriber_id: entry.subscriber_id,
-                    at_record: self.records_ingested,
-                    reason: ShedReason::AdmissionRefused,
-                });
-                if let Some(m) = &self.metrics {
-                    m.subscribers_refused.inc();
-                    m.shed_reason(ShedReason::AdmissionRefused).inc();
-                }
-                return out;
-            }
-            while self.tracked >= self.ingest_cfg.max_open_subscribers.max(1) {
-                let before = self.tracked;
-                out.extend(self.evict_oldest());
-                if self.tracked == before {
-                    break;
-                }
-            }
-            let lane = SubscriberLane::new(&self.monitor, self.ingest_cfg);
-            self.shards[shard]
-                .per_subscriber
-                .insert(entry.subscriber_id, lane);
-            self.tracked += 1;
-            if let Some(m) = &self.metrics {
-                m.open_subscribers.set(self.tracked as i64);
+            m.tracked_bytes.set(self.tracked_bytes as i64);
+            m.bytes_per_subscriber
+                .set((self.tracked_bytes / self.lanes.len().max(1) as u64) as i64);
+        }
+        if before != after {
+            if let Some(w) = after {
+                self.push_lru(w, id);
             }
         }
-        let shard_state = &mut self.shards[shard];
-        let mut over_subscriber_budget = false;
-        if let Some(lane) = shard_state.per_subscriber.get_mut(&entry.subscriber_id) {
-            let before = lane.machine().watermark();
-            let cost_before = lane.machine().tracked_cost();
-            // Snapshot health/kind counters around the push so the
-            // registry sees exactly the deltas this entry caused
-            // (`entries_seen` was already counted above).
-            let health_before = shard_state.health;
-            let kinds_before = self.anomalies.kinds();
-            let claimed = lane.push(entry, &mut shard_state.health, &mut self.anomalies);
-            let after = lane.machine().watermark();
-            let cost_after = lane.machine().tracked_cost();
-            self.tracked_bytes = self
-                .tracked_bytes
-                .saturating_sub(cost_before)
-                .saturating_add(cost_after);
-            self.peak_tracked_bytes = self.peak_tracked_bytes.max(self.tracked_bytes);
-            over_subscriber_budget = self.budget.per_subscriber_bytes > 0
-                && cost_after > self.budget.per_subscriber_bytes;
-            if let Some(m) = &self.metrics {
-                let mut health_after = shard_state.health;
-                health_after.entries_seen = health_before.entries_seen;
-                m.observe_health_delta(&health_before, &health_after);
-                m.observe_kind_delta(&kinds_before, &self.anomalies.kinds());
-                m.tracked_bytes.set(self.tracked_bytes as i64);
-                m.bytes_per_subscriber
-                    .set((self.tracked_bytes / self.tracked.max(1) as u64) as i64);
-            }
-            if before != after {
-                if let Some(w) = before {
-                    self.lru.remove(&(w, entry.subscriber_id));
-                }
-                if let Some(w) = after {
-                    self.lru.insert((w, entry.subscriber_id));
-                }
-            }
-            out.extend(self.assess(&claimed, Fidelity::Full));
-        }
+        out.extend(self.assess(&claimed, Fidelity::Full));
         // A subscriber that outgrew its own budget is force-finalized
         // immediately: its buffered remains are assessed at the `Shed`
         // tier and the slot is freed (the id may be re-admitted later).
         if over_subscriber_budget {
-            out.extend(self.force_finalize(entry.subscriber_id, ShedReason::SubscriberBudget));
+            out.extend(self.force_finalize(id, ShedReason::SubscriberBudget));
         }
         // While the global budget is exceeded, shed the coldest
         // subscribers — deterministic: the LRU order is total.
         if self.budget.global_bytes > 0 {
             while self.tracked_bytes > self.budget.global_bytes {
-                let Some(&(_, coldest)) = self.lru.iter().next() else {
+                let Some(coldest) = self.coldest() else {
                     break;
                 };
-                let before = self.tracked;
                 out.extend(self.force_finalize(coldest, ShedReason::GlobalBudget));
-                if self.tracked == before {
-                    break;
-                }
             }
         }
         // Alert sampling at window boundaries of the record clock —
@@ -629,12 +601,76 @@ impl OnlineAssessor {
         out
     }
 
+    /// Admit a subscriber that has no lane yet, evicting the coldest
+    /// ones past the subscriber cap (their assessments land in `out`).
+    /// Returns the new lane's slot, or `None` when the record is
+    /// quarantined, is noise, or is refused under the global budget.
+    fn admit(
+        &mut self,
+        entry: &WeblogEntry,
+        shard: usize,
+        out: &mut Vec<SessionAssessment>,
+    ) -> Option<usize> {
+        let id = entry.subscriber_id;
+        // Quarantine malformed records and drop non-service noise
+        // *before* a tracking slot is spent on the subscriber.
+        if let Some(kind) = validate_entry(entry, &self.ingest_cfg) {
+            self.shard_health[shard].entries_quarantined += 1;
+            self.anomalies.record(IngestAnomaly {
+                subscriber_id: id,
+                timestamp: entry.timestamp,
+                kind,
+            });
+            if let Some(m) = &self.metrics {
+                m.entries_quarantined.inc();
+                m.anomaly_kind(kind).inc();
+            }
+            return None;
+        }
+        if !entry.is_service_host() {
+            return None;
+        }
+        // Admission control: under `Refuse`, a newcomer that does not
+        // fit the remaining global budget is turned away at the door —
+        // counted and logged, its record dropped.
+        if self.budget.admission == AdmissionPolicy::Refuse
+            && self.budget.global_bytes > 0
+            && self.tracked_bytes + entry.tracked_cost() > self.budget.global_bytes
+        {
+            self.shard_health[shard].subscribers_refused += 1;
+            self.shed.record(ShedEvent {
+                subscriber_id: id,
+                at_record: self.records_ingested,
+                reason: ShedReason::AdmissionRefused,
+            });
+            if let Some(m) = &self.metrics {
+                m.subscribers_refused.inc();
+                m.shed_reason(ShedReason::AdmissionRefused).inc();
+            }
+            return None;
+        }
+        while self.lanes.len() >= self.ingest_cfg.max_open_subscribers.max(1) {
+            let Some(coldest) = self.coldest() else {
+                break;
+            };
+            out.extend(self.force_finalize(coldest, ShedReason::LruCapacity));
+        }
+        let slot = self.lanes.len();
+        self.lanes
+            .push((id, SubscriberLane::new(&self.monitor, self.ingest_cfg)));
+        self.index.insert(id, slot as u32);
+        if let Some(m) = &self.metrics {
+            m.open_subscribers.set(self.lanes.len() as i64);
+        }
+        Some(slot)
+    }
+
     /// Push one sample per built-in alert series for the window that
     /// just closed.
     fn sample_alert_window(&mut self) {
         let shed_total = self.shed.total();
         let anomaly_total = self.anomalies.total();
-        let depth = self.tracked as f64;
+        let depth = self.lanes.len() as f64;
         let Some(al) = &mut self.alerts else {
             return;
         };
@@ -689,20 +725,40 @@ impl OnlineAssessor {
     /// Number of subscribers with an open session group or buffered
     /// entries. Bounded by [`IngestConfig::max_open_subscribers`].
     pub fn open_subscribers(&self) -> usize {
-        self.shards
+        self.lanes
             .iter()
-            .flat_map(|s| s.per_subscriber.values())
-            .filter(|lane| lane.machine().open_entries() > 0)
+            .filter(|(_, lane)| lane.machine().open_entries() > 0)
             .count()
     }
 
-    /// Force-close the least-recently-active subscriber (across all
-    /// shards) and assess its remains as partial sessions.
-    fn evict_oldest(&mut self) -> Vec<SessionAssessment> {
-        let Some(&(_, id)) = self.lru.iter().next() else {
-            return Vec::new();
-        };
-        self.force_finalize(id, ShedReason::LruCapacity)
+    /// Record that subscriber `id`'s watermark moved to `w`. The pair it
+    /// replaces goes stale and is pruned once it surfaces; the heap is
+    /// rebuilt from the lanes before stale pairs can outnumber live ones.
+    fn push_lru(&mut self, w: Instant, id: u64) {
+        self.lru.push(Reverse((w, id)));
+        if self.lru.len() > 2 * self.lanes.len() + 64 {
+            self.lru = self
+                .lanes
+                .iter()
+                .filter_map(|(id, lane)| lane.machine().watermark().map(|w| Reverse((w, *id))))
+                .collect();
+        }
+    }
+
+    /// The least-recently-active tracked subscriber (across all shards):
+    /// the smallest heap pair that still matches its lane's watermark.
+    fn coldest(&mut self) -> Option<u64> {
+        while let Some(&Reverse((w, id))) = self.lru.peek() {
+            let live = self
+                .index
+                .get(&id)
+                .is_some_and(|&slot| self.lanes[slot as usize].1.machine().watermark() == Some(w));
+            if live {
+                return Some(id);
+            }
+            self.lru.pop();
+        }
+        None
     }
 
     /// Force-close one subscriber's stream and assess its buffered
@@ -710,15 +766,13 @@ impl OnlineAssessor {
     /// stay [`Fidelity::Partial`]; budget sheds are [`Fidelity::Shed`].
     /// The event is always counted in the shed log — never silent.
     fn force_finalize(&mut self, id: u64, reason: ShedReason) -> Vec<SessionAssessment> {
-        let shard = shard_of(id, self.shards.len());
-        let shard_state = &mut self.shards[shard];
-        let Some(mut lane) = shard_state.per_subscriber.remove(&id) else {
+        let Some(slot) = self.index.remove(&id) else {
             return Vec::new();
         };
-        if let Some(w) = lane.machine().watermark() {
-            self.lru.remove(&(w, id));
+        let (_, mut lane) = self.lanes.swap_remove(slot as usize);
+        if let Some((moved, _)) = self.lanes.get(slot as usize) {
+            self.index.insert(*moved, slot);
         }
-        self.tracked -= 1;
         self.tracked_bytes = self
             .tracked_bytes
             .saturating_sub(lane.machine().tracked_cost());
@@ -726,12 +780,14 @@ impl OnlineAssessor {
             ShedReason::LruCapacity => Fidelity::Partial,
             _ => Fidelity::Shed,
         };
+        let shard = shard_of(id, self.shard_health.len());
+        let health = &mut self.shard_health[shard];
         match reason {
-            ShedReason::LruCapacity => shard_state.health.sessions_evicted += 1,
-            _ => shard_state.health.sessions_shed += 1,
+            ShedReason::LruCapacity => health.sessions_evicted += 1,
+            _ => health.sessions_shed += 1,
         }
         let claimed = lane.flush();
-        shard_state.health.sessions_partial += claimed.len() as u64;
+        health.sessions_partial += claimed.len() as u64;
         self.shed.record(ShedEvent {
             subscriber_id: id,
             at_record: self.records_ingested,
@@ -750,35 +806,41 @@ impl OnlineAssessor {
             }
             m.sessions_partial.add(claimed.len() as u64);
             m.shed_reason(reason).inc();
-            m.open_subscribers.set(self.tracked as i64);
+            m.open_subscribers.set(self.lanes.len() as i64);
             m.tracked_bytes.set(self.tracked_bytes as i64);
             m.bytes_per_subscriber
-                .set((self.tracked_bytes / self.tracked.max(1) as u64) as i64);
+                .set((self.tracked_bytes / self.lanes.len().max(1) as u64) as i64);
         }
         self.assess(&claimed, fidelity)
     }
 
+    /// `(subscriber id, slot)` for every tracked lane, ascending by id —
+    /// the order the parallel engine's phase-1 emission keys reproduce.
+    fn slots_by_id(&self) -> Vec<(u64, usize)> {
+        let mut order: Vec<(u64, usize)> = self
+            .lanes
+            .iter()
+            .enumerate()
+            .map(|(slot, (id, _))| (*id, slot))
+            .collect();
+        order.sort_unstable();
+        order
+    }
+
     fn drain(&mut self) -> Vec<SessionAssessment> {
+        let order = self.slots_by_id();
+        let mut lanes = std::mem::take(&mut self.lanes);
+        self.index.clear();
         self.lru.clear();
-        self.tracked = 0;
         self.tracked_bytes = 0;
         if let Some(m) = &self.metrics {
             m.open_subscribers.set(0);
             m.tracked_bytes.set(0);
             m.bytes_per_subscriber.set(0);
         }
-        // Subscriber-id order across all shards, exactly as the
-        // pre-shard single map walked it (and exactly the order the
-        // parallel engine's phase-1 emission keys reproduce).
-        let mut lanes: Vec<(u64, SubscriberLane)> = self
-            .shards
-            .iter_mut()
-            .flat_map(|s| std::mem::take(&mut s.per_subscriber))
-            .collect();
-        lanes.sort_by_key(|&(id, _)| id);
-        lanes
+        order
             .into_iter()
-            .flat_map(|(_, mut lane)| self.assess(&lane.flush(), Fidelity::Full))
+            .flat_map(|(_, slot)| self.assess(&lanes[slot].1.flush(), Fidelity::Full))
             .collect()
     }
 
@@ -803,24 +865,33 @@ impl OnlineAssessor {
     /// produces an [`IngestReport`] bit-identical to the uninterrupted
     /// run.
     pub fn checkpoint(&self) -> OnlineCheckpoint {
+        let n = self.shard_health.len();
+        let mut shards: Vec<ShardCheckpoint> = self
+            .shard_health
+            .iter()
+            .map(|&health| ShardCheckpoint {
+                health,
+                subscribers: Vec::new(),
+            })
+            .collect();
+        for (id, slot) in self.slots_by_id() {
+            shards[shard_of(id, n)]
+                .subscribers
+                .push((id, self.lanes[slot].1.machine().to_state()));
+        }
+        let mut lru: Vec<(Instant, u64)> = self
+            .lanes
+            .iter()
+            .filter_map(|(id, lane)| lane.machine().watermark().map(|w| (w, *id)))
+            .collect();
+        lru.sort_unstable();
         OnlineCheckpoint {
             version: CHECKPOINT_VERSION,
             records_ingested: self.records_ingested,
             ingest_cfg: self.ingest_cfg,
             budget: self.budget,
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ShardCheckpoint {
-                    health: s.health,
-                    subscribers: s
-                        .per_subscriber
-                        .iter()
-                        .map(|(id, lane)| (*id, lane.machine().to_state()))
-                        .collect(),
-                })
-                .collect(),
-            lru: self.lru.iter().copied().collect(),
+            shards,
+            lru,
             peak_tracked_bytes: self.peak_tracked_bytes,
             anomalies: self.anomalies.clone(),
             shed: self.shed.clone(),
@@ -857,39 +928,41 @@ impl OnlineAssessor {
             return Err(RestoreError::Corrupt("checkpoint has no shards"));
         }
         let n = ck.shards.len();
-        let mut shards = Vec::with_capacity(n);
-        let mut tracked = 0usize;
+        let mut lanes = Vec::new();
+        let mut index = HashMap::default();
         let mut tracked_bytes = 0u64;
         for (i, sc) in ck.shards.iter().enumerate() {
-            let mut per_subscriber = BTreeMap::new();
             for (id, state) in &sc.subscribers {
                 if shard_of(*id, n) != i {
                     return Err(RestoreError::Corrupt(
                         "subscriber routed to the wrong shard",
                     ));
                 }
-                let lane = SubscriberLane::restore(&monitor, state.clone());
-                tracked_bytes += lane.machine().tracked_cost();
-                if per_subscriber.insert(*id, lane).is_some() {
+                if index.insert(*id, lanes.len() as u32).is_some() {
                     return Err(RestoreError::Corrupt("duplicate subscriber in one shard"));
                 }
+                let lane = SubscriberLane::restore(&monitor, state.clone());
+                tracked_bytes += lane.machine().tracked_cost();
+                lanes.push((*id, lane));
             }
-            tracked += per_subscriber.len();
-            shards.push(ShardState {
-                per_subscriber,
-                health: sc.health,
-            });
         }
-        let lru: BTreeSet<(Instant, u64)> = ck.lru.iter().copied().collect();
-        if lru.len() != tracked {
+        if ck.lru.len() != lanes.len() {
             return Err(RestoreError::Corrupt(
                 "LRU index does not match the subscriber set",
             ));
         }
-        for &(w, id) in &lru {
-            let shard = shard_of(id, n);
-            match shards[shard].per_subscriber.get(&id) {
-                Some(lane) if lane.machine().watermark() == Some(w) => {}
+        // Each pair must name a distinct lane at its current watermark,
+        // so the list is exactly the lanes' (watermark, id) set.
+        let mut listed = vec![false; lanes.len()];
+        for &(w, id) in &ck.lru {
+            match index.get(&id) {
+                Some(&slot) if lanes[slot as usize].1.machine().watermark() == Some(w) => {
+                    if std::mem::replace(&mut listed[slot as usize], true) {
+                        return Err(RestoreError::Corrupt(
+                            "LRU index does not match the subscriber set",
+                        ));
+                    }
+                }
                 _ => {
                     return Err(RestoreError::Corrupt(
                         "LRU entry disagrees with its subscriber's watermark",
@@ -900,9 +973,10 @@ impl OnlineAssessor {
         Ok(OnlineAssessor {
             monitor,
             ingest_cfg: ck.ingest_cfg,
-            shards,
-            lru,
-            tracked,
+            shard_health: ck.shards.iter().map(|sc| sc.health).collect(),
+            lanes,
+            index,
+            lru: ck.lru.iter().map(|&pair| Reverse(pair)).collect(),
             budget: ck.budget,
             tracked_bytes,
             peak_tracked_bytes: ck.peak_tracked_bytes.max(tracked_bytes),
@@ -923,21 +997,22 @@ impl OnlineAssessor {
 pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// One shard's checkpointed state: its health counters and every
-/// tracked subscriber's reassembler, in subscriber-id order.
+/// tracked subscriber routed to it, in subscriber-id order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardCheckpoint {
     /// The shard's monotone health counters.
     pub health: StreamHealth,
     /// `(subscriber id, reassembler state)` pairs, ascending by id
-    /// (the BTreeMap iteration order — deterministic by construction).
+    /// (sorted at write time, so identical state writes identical bytes).
     pub subscribers: Vec<(u64, ReassemblerState)>,
 }
 
 /// A byte-stable snapshot of the complete [`OnlineAssessor`] state.
 ///
 /// Serialized via [`OnlineCheckpoint::to_json`]; every collection is
-/// ordered (BTreeMap/BTreeSet iteration, Vec preservation), so two
-/// checkpoints of identical state are byte-identical. Derived counters
+/// written in a canonical order (subscribers and the LRU list sorted,
+/// logs in arrival order), so two checkpoints of identical state are
+/// byte-identical. Derived counters
 /// (buffered costs, tracked totals) are *not* stored — restore
 /// recomputes them from the records.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -953,7 +1028,8 @@ pub struct OnlineCheckpoint {
     pub budget: BudgetConfig,
     /// Per-shard state, indexed by shard id.
     pub shards: Vec<ShardCheckpoint>,
-    /// The eviction index, oldest first.
+    /// The eviction index, oldest first: one `(watermark, id)` pair per
+    /// tracked subscriber.
     pub lru: Vec<(Instant, u64)>,
     /// High-water mark of tracked bytes at the cut point.
     pub peak_tracked_bytes: u64,
@@ -1154,6 +1230,36 @@ mod tests {
         assert_eq!(partials.len() as u64, health.sessions_partial);
         // Both subscribers' complete sessions still got assessed.
         assert_eq!(all.len(), 4);
+    }
+
+    #[test]
+    fn lru_heap_stays_within_twice_the_tracked_set() {
+        let template = world(1, 80)
+            .entries
+            .into_iter()
+            .find(|e| e.is_service_host())
+            .expect("world has service traffic");
+        let mut online = OnlineAssessor::new(trained());
+        let mut rebuilt = false;
+        for i in 0..30_000u64 {
+            // Four subscribers, each record a fresh watermark; the
+            // paired ids share one tick.
+            let mut e = template.clone();
+            e.subscriber_id = i % 4;
+            e.timestamp = Instant::from_secs(10) + Duration::from_millis(250 * (i / 2));
+            e.bytes = 100_000 + i;
+            let before = online.lru.len();
+            online.ingest(&e);
+            rebuilt |= online.lru.len() < before;
+            assert!(
+                online.lru.len() <= 2 * online.lanes.len() + 64,
+                "{} pairs for {} lanes after record {i}",
+                online.lru.len(),
+                online.lanes.len()
+            );
+        }
+        assert!(rebuilt, "stale pairs were never pruned");
+        assert_eq!(online.lanes.len(), 4);
     }
 
     #[test]

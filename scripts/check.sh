@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, clippy (warnings promoted to
-# errors), the workspace's own static-analysis passes, and the test
-# suite. CI and pre-merge runs should call exactly this.
+# errors), the workspace's own static-analysis passes, the test suite
+# and the benchmark package's tests. CI and pre-merge runs should call
+# exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +17,13 @@ cargo run -q -p vqoe-analyze
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q
+
+# perfbench is its own package outside the workspace, so the workspace
+# build never compiles it: this catches a vqoe-core API change that
+# breaks the benchmark, and checks its metric table against
+# BENCHMARK.json.
+echo "==> cargo test perfbench"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 # Opt-in long soak: a high-fault chaos stream through the online
 # assessor (see scripts/soak.sh), plus a trace-overhead smoke that

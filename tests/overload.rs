@@ -10,13 +10,19 @@
 //! * the unbudgeted streaming path equals the batch engine at workers
 //!   1/2/7;
 //! * LRU eviction tie-breaking under equal activity ticks is by
-//!   subscriber id, at every shard count;
+//!   subscriber id, at every shard count, and every eviction names the
+//!   least `(watermark, id)` pair of the tracked set;
+//! * a restored checkpoint checkpoints to the same bytes, and restore
+//!   rejects each kind of inconsistent checkpoint with a typed error;
 //! * `Fidelity::Partial`/`Shed` outputs are built from feature blocks
 //!   that use `MISSING_STAT` (never 0.0) for unavailable statistics;
 //! * a 10x subscriber flood stays within budget, every shed is typed,
 //!   and refused admissions are counted.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
+
+use proptest::prelude::*;
 
 use vqoe_core::{
     AdmissionPolicy, AssessmentEngine, BudgetConfig, EncryptedEvalConfig, EncryptedWorld,
@@ -565,6 +571,176 @@ fn restore_rejects_corrupt_checkpoints() {
         OnlineAssessor::restore(monitor().clone(), &wrong_shard),
         Err(RestoreError::Corrupt(_))
     ));
+
+    let corrupt = |ck: &OnlineCheckpoint| match OnlineAssessor::restore(monitor().clone(), ck) {
+        Err(RestoreError::Corrupt(why)) => why,
+        other => panic!("expected a corrupt checkpoint, got {other:?}"),
+    };
+    assert!(
+        good.lru.len() >= 2,
+        "the cut must track several subscribers"
+    );
+
+    let mut duplicate_subscriber = good.clone();
+    let shard = &mut duplicate_subscriber.shards[donor];
+    shard.subscribers.push(shard.subscribers[0].clone());
+    assert_eq!(
+        corrupt(&duplicate_subscriber),
+        "duplicate subscriber in one shard"
+    );
+
+    let mut stale_watermark = good.clone();
+    stale_watermark.lru[0].0 = Instant(stale_watermark.lru[0].0 .0 + 1);
+    assert_eq!(
+        corrupt(&stale_watermark),
+        "LRU entry disagrees with its subscriber's watermark"
+    );
+
+    // A repeated pair, both appended and standing in for another
+    // subscriber's pair: the list must name each subscriber once.
+    let mut repeated_pair = good.clone();
+    repeated_pair.lru.push(repeated_pair.lru[0]);
+    assert_eq!(
+        corrupt(&repeated_pair),
+        "LRU index does not match the subscriber set"
+    );
+    let mut replaced_pair = good.clone();
+    replaced_pair.lru[1] = replaced_pair.lru[0];
+    assert_eq!(
+        corrupt(&replaced_pair),
+        "LRU index does not match the subscriber set"
+    );
+}
+
+/// Restoring a checkpoint and checkpointing again writes the same bytes,
+/// even after evictions, budget sheds and re-admissions have left the
+/// tracked set in no particular arrival order.
+#[test]
+fn restored_checkpoints_rewrite_the_same_bytes() {
+    let entries = multi_subscriber_tap(5, 1, 920);
+    let per_record = entries
+        .iter()
+        .map(|e| e.tracked_cost())
+        .max()
+        .unwrap_or(256);
+    let budget = BudgetConfig {
+        per_subscriber_bytes: 0,
+        global_bytes: 40 * per_record,
+        admission: AdmissionPolicy::ShedColdest,
+    };
+    for shards in [1usize, 2, 7] {
+        let mut online = OnlineAssessor::with_engine(
+            monitor().clone(),
+            IngestConfig {
+                max_open_subscribers: 2,
+                ..IngestConfig::default()
+            },
+            EngineConfig {
+                shards,
+                ..EngineConfig::default()
+            },
+        )
+        .with_budget(budget);
+        let cuts: Vec<usize> = (1..8).map(|k| k * entries.len() / 8).collect();
+        let mut checked = 0;
+        for (i, e) in entries.iter().enumerate() {
+            online.ingest(e);
+            if !cuts.contains(&(i + 1)) {
+                continue;
+            }
+            let ck = online.checkpoint();
+            assert!(
+                ck.shards
+                    .iter()
+                    .all(|s| s.subscribers.windows(2).all(|w| w[0].0 < w[1].0)),
+                "subscribers are written in id order"
+            );
+            assert!(
+                ck.lru.windows(2).all(|w| w[0] < w[1]),
+                "the LRU list is written coldest first"
+            );
+            let json = ck.to_json().expect("checkpoint serializes");
+            let again = OnlineAssessor::restore(monitor().clone(), &ck)
+                .expect("checkpoint restores")
+                .checkpoint()
+                .to_json()
+                .expect("checkpoint serializes");
+            assert_eq!(
+                again,
+                json,
+                "restored checkpoint rewrote (shards={shards}, cut={})",
+                i + 1
+            );
+            checked += usize::from(ck.lru.len() == 2);
+        }
+        assert!(
+            checked > 0,
+            "no cut tracked two subscribers (shards={shards})"
+        );
+        let shed = online.shed_log();
+        let reasons = shed.reasons();
+        assert!(reasons.lru_capacity > 0 && reasons.global_budget > 0);
+        let mut seen = BTreeSet::new();
+        assert!(
+            shed.kept().iter().any(|e| !seen.insert(e.subscriber_id)),
+            "some subscriber must be re-admitted after a shed (shards={shards})"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// Every LRU eviction names the least `(watermark, id)` pair of the
+    /// tracked set, as an ordered-set model of the eviction index says.
+    /// Ticks span less than the reorder window, so no record arrives
+    /// late; they tie and cross between subscribers.
+    #[test]
+    fn lru_evictions_follow_the_ordered_set_model(
+        records in proptest::collection::vec((0u64..6, 0u64..9), 1..64),
+        cap in 1usize..5,
+        shards in 1usize..4,
+    ) {
+        let mut online = OnlineAssessor::with_engine(
+            monitor().clone(),
+            IngestConfig {
+                max_open_subscribers: cap,
+                ..IngestConfig::default()
+            },
+            EngineConfig {
+                shards,
+                ..EngineConfig::default()
+            },
+        );
+        let mut watermarks: BTreeMap<u64, Instant> = BTreeMap::new();
+        let mut order: BTreeSet<(Instant, u64)> = BTreeSet::new();
+        let mut expected = Vec::new();
+        for (i, &(id, tick)) in records.iter().enumerate() {
+            let t = Instant::from_secs(10) + Duration::from_millis(500 * tick);
+            online.ingest(&media_entry(id, t, 100_000 + i as u64, 0.04));
+            if !watermarks.contains_key(&id) {
+                while watermarks.len() >= cap {
+                    let Some((_, coldest)) = order.pop_first() else {
+                        break;
+                    };
+                    watermarks.remove(&coldest);
+                    expected.push((coldest, ShedReason::LruCapacity));
+                }
+            }
+            let w = watermarks.get(&id).map_or(t, |&w| w.max(t));
+            if let Some(old) = watermarks.insert(id, w) {
+                order.remove(&(old, id));
+            }
+            order.insert((w, id));
+        }
+        let evicted: Vec<(u64, ShedReason)> = online
+            .shed_log()
+            .kept()
+            .iter()
+            .map(|e| (e.subscriber_id, e.reason))
+            .collect();
+        prop_assert_eq!(evicted, expected);
+    }
 }
 
 /// Long-running overload soak (run by `scripts/soak.sh` under
