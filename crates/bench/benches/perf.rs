@@ -6,18 +6,22 @@
 //! framework online ("report issues in real time", §8). The experiment
 //! regeneration itself lives in the `repro` binary.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use vqoe_changedet::detector::{session_score, SwitchScoreConfig};
 use vqoe_core::{
-    generate_traces, DatasetSpec, EngineConfig, OnlineAssessor, QoeMonitor, TrainingConfig,
+    generate_traces, DatasetSpec, DigestSink, EngineConfig, OnlineAssessor, QoeMonitor,
+    TrainingConfig,
 };
 use vqoe_features::{representation_features, stall_features, SessionObs};
 use vqoe_ml::{cross_validate, ForestConfig, RandomForest};
-use vqoe_player::{simulate_session, AbrKind, Delivery, SessionConfig};
+use vqoe_player::{simulate_session, AbrKind, Delivery, SessionConfig, TransportSummary};
 use vqoe_simnet::channel::Scenario;
 use vqoe_simnet::rng::SeedSequence;
-use vqoe_simnet::time::Instant;
-use vqoe_telemetry::{apply_chaos, reassemble_subscriber, ChaosConfig, ReassemblyConfig};
+use vqoe_simnet::time::{Duration, Instant};
+use vqoe_telemetry::{
+    apply_chaos, reassemble_subscriber, ChaosConfig, EntryKind, ReassemblyConfig, SpillSink,
+    WeblogEntry,
+};
 
 fn bench_simulation(c: &mut Criterion) {
     let seeds = SeedSequence::new(42);
@@ -205,6 +209,75 @@ fn bench_online_ingest(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_streaming_fold(c: &mut Criterion) {
+    // The sketched tier's spill fold in situ: 3,125 sessions of 448
+    // spilled chunks each (the live flood's sketched subscribers),
+    // folded one session at a time through one sink (`hot`) or through
+    // 3,125 sinks in rotation (`round_robin_3125`), as a loaded tap
+    // interleaves them. Both fold the same 1.4M chunks per iteration;
+    // the gap between them is the cost of a cold digest.
+    const SINKS: usize = 3_125;
+    const CHUNKS: usize = 448;
+    let config = SwitchScoreConfig::default();
+    let transport = TransportSummary {
+        rtt_min: 0.02,
+        rtt_mean: 0.03,
+        rtt_max: 0.05,
+        bdp_mean: 60_000.0,
+        bif_mean: 30_000.0,
+        bif_max: 90_000.0,
+        loss_frac: 0.0,
+        retx_frac: 0.0,
+    };
+    let chunks: Vec<WeblogEntry> = (0..CHUNKS as u64)
+        .map(|i| WeblogEntry {
+            timestamp: Instant::from_millis(i * 2_000),
+            subscriber_id: 1,
+            host: "r1---sn-bench.googlevideo.com".into(),
+            uri: None,
+            bytes: 40_000 + (i * 7_919) % 160_000,
+            duration: Duration::from_millis(300 + (i * 131) % 900),
+            transport: TransportSummary {
+                rtt_mean: 0.03 + (i % 17) as f64 * 1e-3,
+                ..transport
+            },
+            encrypted: true,
+            kind: EntryKind::MediaChunk,
+        })
+        .collect();
+    // Sink `s` sees the stream rotated by `s`, so no two digests match.
+    let chunk = |s: usize, j: usize| &chunks[(j + s) % CHUNKS];
+    let mut group = c.benchmark_group("streaming_fold");
+    group.sample_size(3);
+    group.bench_function("hot", |b| {
+        let mut sink = DigestSink::new(config);
+        b.iter(|| {
+            for s in 0..SINKS {
+                for j in 0..CHUNKS {
+                    sink.fold_chunk(chunk(s, j));
+                }
+                sink.seal();
+                black_box(sink.claim());
+            }
+        })
+    });
+    group.bench_function("round_robin_3125", |b| {
+        let mut sinks = vec![DigestSink::new(config); SINKS];
+        b.iter(|| {
+            for j in 0..CHUNKS {
+                for (s, sink) in sinks.iter_mut().enumerate() {
+                    sink.fold_chunk(chunk(s, j));
+                }
+            }
+            for sink in &mut sinks {
+                sink.seal();
+                black_box(sink.claim());
+            }
+        })
+    });
+    group.finish();
+}
+
 fn bench_engine(c: &mut Criterion) {
     // The sharded parallel engine over a multi-subscriber tap, 1 worker
     // vs 4 (no simulated tap pacing — pure compute; the tap-paced
@@ -260,6 +333,7 @@ criterion_group!(
     bench_ml,
     bench_telemetry,
     bench_online_ingest,
+    bench_streaming_fold,
     bench_engine
 );
 criterion_main!(benches);

@@ -11,6 +11,17 @@
 //! length; the digest is seedless, mergeable state that serializes
 //! byte-stably for checkpointing.
 //!
+//! [`DigestSink`] stages spilled chunks and folds them into the digest
+//! in bursts of [`SKETCH_CAPACITY`] (and at seal). Thousands of lanes
+//! spill at once on a loaded tap, so folding each chunk as it lands
+//! would touch a cold digest's 14 series sketches on every record; a
+//! burst pays that miss once per 64 chunks. Each series still sees the
+//! same push sequence, so digests, predictions and tiers are
+//! bit-identical to a chunk-at-a-time fold. The digest itself is built
+//! by the first burst: a lane that never spills carries an empty sink.
+//! Budget accounting is unchanged — the reassembler charges the fixed
+//! `SPILL_STATE_COST_BYTES` for an active spill, staging included.
+//!
 //! The plumbing is the [`SpillSink`] trait from `vqoe-telemetry` (which
 //! cannot depend on the feature/detector crates, so the dependency is
 //! inverted): [`DigestSink`] implements it, the subscriber lane
@@ -21,9 +32,12 @@
 //!
 //! [`Fidelity::Sketched`]: crate::Fidelity::Sketched
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 use vqoe_changedet::{StreamingSwitchScore, SwitchScoreConfig};
 use vqoe_features::{ChunkObs, StreamingSessionState};
+use vqoe_stats::SKETCH_CAPACITY;
 use vqoe_telemetry::{ReassembledSession, RobustReassembler, SpillSink, WeblogEntry};
 
 /// Everything the sketched assessment path needs about one session:
@@ -69,10 +83,22 @@ impl SessionDigest {
 
 /// The core-side [`SpillSink`]: folds spilled chunks into a
 /// [`SessionDigest`] and archives one digest per sealed session, FIFO.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Chunks are staged and folded [`SKETCH_CAPACITY`] at a time (module
+/// docs), and the digest is only built once a burst lands, so a sink
+/// whose lane never spills holds no digest at all. Serialization and
+/// equality see the *settled* sink — staged rows folded in, a fresh
+/// digest standing in for a missing one — so neither the burst boundary
+/// nor the lazy digest shows in a checkpoint byte.
+#[derive(Debug, Clone)]
 pub struct DigestSink {
     config: SwitchScoreConfig,
-    current: SessionDigest,
+    /// The in-flight session's digest, built by its first burst.
+    current: Option<Box<SessionDigest>>,
+    /// Spilled chunks of the in-flight session not yet folded into
+    /// `current`, in arrival order (fewer than [`SKETCH_CAPACITY`]
+    /// between calls; released at seal and discard).
+    staged: Vec<ChunkObs>,
     /// Sealed digests not yet claimed by the assessor (FIFO; normally
     /// at most one deep, drained right after each emission).
     sealed: Vec<SessionDigest>,
@@ -82,9 +108,10 @@ impl DigestSink {
     /// Fresh sink whose digests score switches under `config`.
     pub fn new(config: SwitchScoreConfig) -> Self {
         DigestSink {
-            current: SessionDigest::with_config(config),
-            sealed: Vec::new(),
             config,
+            current: None,
+            staged: Vec::new(),
+            sealed: Vec::new(),
         }
     }
 
@@ -109,25 +136,107 @@ impl DigestSink {
     pub fn from_json(json: &str) -> Option<DigestSink> {
         serde_json::from_str(json).ok()
     }
+
+    /// Fold the staged chunks, in arrival order, into the in-flight
+    /// digest (building it on the first burst).
+    fn fold_staged(&mut self) {
+        if self.staged.is_empty() {
+            return;
+        }
+        let config = self.config;
+        let digest = self
+            .current
+            .get_or_insert_with(|| Box::new(SessionDigest::with_config(config)));
+        for c in &self.staged {
+            digest.fold(c);
+        }
+        self.staged.clear();
+    }
+
+    /// The in-flight digest as if every staged chunk were folded: what
+    /// checkpoints write and equality compares.
+    fn settled_current(&self) -> Cow<'_, SessionDigest> {
+        let mut digest = match &self.current {
+            Some(d) if self.staged.is_empty() => return Cow::Borrowed(&**d),
+            Some(d) => SessionDigest::clone(d),
+            None => SessionDigest::with_config(self.config),
+        };
+        for c in &self.staged {
+            digest.fold(c);
+        }
+        Cow::Owned(digest)
+    }
+}
+
+impl PartialEq for DigestSink {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && self.sealed == other.sealed
+            && self.settled_current() == other.settled_current()
+    }
+}
+
+// Hand-written: checkpoints hold the settled sink as
+// `{config, current, sealed}`, so staging never shows in their bytes.
+impl Serialize for DigestSink {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("config".to_string(), self.config.to_value()),
+            ("current".to_string(), self.settled_current().to_value()),
+            ("sealed".to_string(), self.sealed.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for DigestSink {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        if !matches!(value, serde::Value::Map(_)) {
+            return Err(serde::DeError::mismatch("object", value));
+        }
+        let field = |f: &str| {
+            value
+                .get(f)
+                .ok_or_else(|| serde::DeError::missing_field("DigestSink", f))
+        };
+        let config = SwitchScoreConfig::from_value(field("config")?)?;
+        let current = SessionDigest::from_value(field("current")?)?;
+        Ok(DigestSink {
+            config,
+            // A snapshot taken between sessions carries a fresh digest.
+            // Restored as "no digest yet", the sink writes the same
+            // later snapshots as one that never stopped.
+            current: (current != SessionDigest::with_config(config)).then(|| Box::new(current)),
+            staged: Vec::new(),
+            sealed: Deserialize::from_value(field("sealed")?)?,
+        })
+    }
 }
 
 impl SpillSink for DigestSink {
     fn fold_chunk(&mut self, e: &WeblogEntry) {
-        self.current.fold(&ChunkObs::from(e));
+        self.staged.push(ChunkObs::from(e));
+        if self.staged.len() >= SKETCH_CAPACITY {
+            self.fold_staged();
+        }
     }
 
     fn seal(&mut self) {
-        let finished =
-            std::mem::replace(&mut self.current, SessionDigest::with_config(self.config));
+        self.fold_staged();
+        self.staged = Vec::new();
+        let finished = self
+            .current
+            .take()
+            .map_or_else(|| SessionDigest::with_config(self.config), |d| *d);
         self.sealed.push(finished);
     }
 
     fn discard(&mut self) {
-        self.current = SessionDigest::with_config(self.config);
+        self.current = None;
+        self.staged = Vec::new();
     }
 
     fn state_json(&self) -> Option<String> {
-        if self.current.features.is_empty() && self.sealed.is_empty() {
+        if self.current.is_none() && self.staged.is_empty() && self.sealed.is_empty() {
             return None;
         }
         serde_json::to_string(self).ok()
@@ -185,6 +294,8 @@ pub(crate) fn claim_from(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestCaseError;
     use vqoe_player::TransportSummary;
     use vqoe_simnet::time::{Duration, Instant};
     use vqoe_telemetry::{EntryKind, IngestConfig, ReassemblyConfig};
@@ -275,5 +386,150 @@ mod tests {
     fn empty_sink_has_no_state() {
         let sink = DigestSink::new(SwitchScoreConfig::default());
         assert!(sink.state_json().is_none());
+    }
+
+    #[test]
+    fn fresh_and_discarded_sinks_hold_no_digest() {
+        let mut sink = DigestSink::new(SwitchScoreConfig::default());
+        assert!(sink.current.is_none() && sink.staged.capacity() == 0);
+        assert!(sink.state_json().is_none());
+        for i in 0..(SKETCH_CAPACITY as u64 + 5) {
+            sink.fold_chunk(&media_entry(i * 1_000, 10_000));
+        }
+        assert!(sink.current.is_some(), "a full burst builds the digest");
+        sink.discard();
+        assert!(sink.current.is_none() && sink.staged.capacity() == 0);
+        assert!(sink.state_json().is_none());
+    }
+
+    /// The sink as it was before chunks were staged: one
+    /// `SessionDigest::fold` per chunk into an always-present digest.
+    /// Its derived serialization is the checkpoint format.
+    #[derive(Serialize)]
+    struct EagerSink {
+        config: SwitchScoreConfig,
+        current: SessionDigest,
+        sealed: Vec<SessionDigest>,
+    }
+
+    impl EagerSink {
+        fn new(config: SwitchScoreConfig) -> Self {
+            EagerSink {
+                config,
+                current: SessionDigest::with_config(config),
+                sealed: Vec::new(),
+            }
+        }
+
+        fn fold_chunk(&mut self, e: &WeblogEntry) {
+            self.current.fold(&ChunkObs::from(e));
+        }
+
+        fn seal(&mut self) {
+            let finished =
+                std::mem::replace(&mut self.current, SessionDigest::with_config(self.config));
+            self.sealed.push(finished);
+        }
+
+        fn discard(&mut self) {
+            self.current = SessionDigest::with_config(self.config);
+        }
+
+        fn claim(&mut self) -> Option<SessionDigest> {
+            (!self.sealed.is_empty()).then(|| self.sealed.remove(0))
+        }
+
+        fn state_json(&self) -> Option<String> {
+            if self.current.features.is_empty() && self.sealed.is_empty() {
+                return None;
+            }
+            serde_json::to_string(self).ok()
+        }
+    }
+
+    fn bytes(claimed: &Option<SessionDigest>) -> String {
+        serde_json::to_string(claimed).expect("digests serialize")
+    }
+
+    /// One step of a sink's life: fold a run of chunks, seal, discard,
+    /// claim, or snapshot and carry on from the restored copy.
+    fn apply(
+        op: (u8, usize),
+        next: &mut u64,
+        staged: &mut DigestSink,
+        eager: &mut EagerSink,
+        unbroken: &mut DigestSink,
+    ) -> Result<(), TestCaseError> {
+        let (kind, n) = op;
+        match kind {
+            0 | 1 => {
+                // Runs that end one short of, on, and one past a full
+                // burst, and arbitrary ones.
+                let run = if kind == 0 { 63 + n % 3 } else { n };
+                for _ in 0..run {
+                    let t = *next;
+                    *next += 1;
+                    let e = media_entry(t * 1_700, 20_000 + (t * 7_919) % 90_000);
+                    staged.fold_chunk(&e);
+                    eager.fold_chunk(&e);
+                    unbroken.fold_chunk(&e);
+                }
+            }
+            2 => {
+                staged.seal();
+                eager.seal();
+                unbroken.seal();
+            }
+            3 => {
+                staged.discard();
+                eager.discard();
+                unbroken.discard();
+            }
+            4 => {
+                let claimed = bytes(&staged.claim());
+                prop_assert_eq!(&claimed, &bytes(&eager.claim()));
+                prop_assert_eq!(&claimed, &bytes(&unbroken.claim()));
+            }
+            _ => {
+                // Snapshot mid-stream; `staged` continues from the
+                // restored copy, `unbroken` never stops.
+                let json = staged.state_json();
+                prop_assert_eq!(&json, &eager.state_json());
+                if let Some(json) = json {
+                    *staged = DigestSink::from_json(&json).expect("snapshot parses");
+                }
+            }
+        }
+        prop_assert_eq!(staged.state_json(), eager.state_json());
+        prop_assert_eq!(staged.state_json(), unbroken.state_json());
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn prop_staged_fold_matches_the_eager_fold(
+            ops in proptest::collection::vec((0u8..6, 0usize..200), 1..24),
+        ) {
+            let config = SwitchScoreConfig::default();
+            let mut staged = DigestSink::new(config);
+            let mut eager = EagerSink::new(config);
+            let mut unbroken = DigestSink::new(config);
+            let mut next = 0u64;
+            for &op in &ops {
+                apply(op, &mut next, &mut staged, &mut eager, &mut unbroken)?;
+            }
+            staged.seal();
+            eager.seal();
+            unbroken.seal();
+            // Every claimed digest, byte for byte, then nothing more.
+            loop {
+                let expected = eager.claim();
+                prop_assert_eq!(bytes(&staged.claim()), bytes(&expected));
+                prop_assert_eq!(bytes(&unbroken.claim()), bytes(&expected));
+                if expected.is_none() {
+                    break;
+                }
+            }
+        }
     }
 }

@@ -22,6 +22,7 @@ use vqoe_telemetry::{
 use crate::digest::{claim_digest, claim_from, install_digest_sink, DigestSink, SessionDigest};
 use crate::metrics::PipelineMetrics;
 use crate::monitor::{Fidelity, QoeMonitor, SessionAssessment};
+use crate::online::RestoreError;
 use crate::subscribe::SubscriptionSet;
 
 /// One emitted session with the digest claimed for it (`Some` exactly
@@ -50,18 +51,22 @@ impl SubscriberLane {
 
     /// Rebuild a lane from its checkpointed machine state. The digest
     /// sink comes from its own snapshot when the checkpoint carried one
-    /// (v2+), fresh otherwise: v1 checkpoints predate spilling, so no
-    /// in-flight digest existed to lose.
-    pub(crate) fn restore(monitor: &QoeMonitor, state: ReassemblerState) -> Self {
-        let sink = state
-            .inner
-            .spill_json
-            .as_deref()
-            .and_then(DigestSink::from_json)
-            .unwrap_or_else(|| DigestSink::new(*monitor.switch_model.scoring()));
+    /// (v2+), fresh otherwise: v1 checkpoints predate spilling, and a
+    /// v2 sink with nothing in flight writes no snapshot. A snapshot
+    /// that does not parse is an error — a fresh sink would assess the
+    /// in-flight spilled session from a digest missing its chunks.
+    pub(crate) fn restore(
+        monitor: &QoeMonitor,
+        state: ReassemblerState,
+    ) -> Result<Self, RestoreError> {
+        let sink = match state.inner.spill_json.as_deref() {
+            Some(json) => DigestSink::from_json(json)
+                .ok_or(RestoreError::Corrupt("digest snapshot does not parse"))?,
+            None => DigestSink::new(*monitor.switch_model.scoring()),
+        };
         let mut machine = RobustReassembler::from_state(state);
         machine.attach_spill(Box::new(sink));
-        SubscriberLane { machine }
+        Ok(SubscriberLane { machine })
     }
 
     /// The underlying machine (watermark, buffered cost, checkpoint

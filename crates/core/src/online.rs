@@ -941,7 +941,7 @@ impl OnlineAssessor {
                 if index.insert(*id, lanes.len() as u32).is_some() {
                     return Err(RestoreError::Corrupt("duplicate subscriber in one shard"));
                 }
-                let lane = SubscriberLane::restore(&monitor, state.clone());
+                let lane = SubscriberLane::restore(&monitor, state.clone())?;
                 tracked_bytes += lane.machine().tracked_cost();
                 lanes.push((*id, lane));
             }
@@ -1065,7 +1065,8 @@ pub enum RestoreError {
     /// The checkpoint was written by an incompatible format version.
     Version(u32),
     /// The checkpoint is internally inconsistent (wrong shard routing,
-    /// LRU/subscriber mismatch, ...).
+    /// LRU/subscriber mismatch, a digest snapshot that does not parse,
+    /// ...).
     Corrupt(&'static str),
 }
 

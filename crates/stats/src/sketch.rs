@@ -102,7 +102,14 @@ impl QuantileSketch {
             return;
         }
         self.count += 1;
-        self.levels[0].values.push(x);
+        let full = self.capacity + 1;
+        let values = &mut self.levels[0].values;
+        if values.len() == values.capacity() && values.len() < full {
+            // Double while small, but stop at the compaction size: the
+            // buffer is kept for the sketch's lifetime.
+            values.reserve_exact((2 * values.len()).clamp(4, full) - values.len());
+        }
+        values.push(x);
         self.compact_from(0);
     }
 
@@ -125,7 +132,10 @@ impl QuantileSketch {
     /// Compact every level at or above `from` that exceeds capacity:
     /// sort the level, keep alternating ranks (parity bit decides
     /// which), and promote the survivors — now each standing for twice
-    /// the weight — to the next level up.
+    /// the weight — to the next level up. In place: the level keeps its
+    /// buffer, so a warm sketch compacts without allocating. The sort
+    /// may be unstable because `total_cmp`-equal values are
+    /// bit-identical, so the survivors are the same either way.
     fn compact_from(&mut self, from: usize) {
         let mut lvl = from;
         while lvl < self.levels.len() {
@@ -133,16 +143,18 @@ impl QuantileSketch {
                 lvl += 1;
                 continue;
             }
-            let keep_odd = self.levels[lvl].keep_odd;
-            self.levels[lvl].keep_odd = !keep_odd;
-            let mut values = std::mem::take(&mut self.levels[lvl].values);
-            values.sort_by(f64::total_cmp);
-            let offset = usize::from(keep_odd);
-            let survivors: Vec<f64> = values.into_iter().skip(offset).step_by(2).collect();
             if lvl + 1 == self.levels.len() {
                 self.levels.push(Level::new());
             }
-            self.levels[lvl + 1].values.extend(survivors);
+            let (below, above) = self.levels.split_at_mut(lvl + 1);
+            let level = &mut below[lvl];
+            let offset = usize::from(level.keep_odd);
+            level.keep_odd = !level.keep_odd;
+            level.values.sort_unstable_by(f64::total_cmp);
+            above[0]
+                .values
+                .extend(level.values.iter().skip(offset).step_by(2));
+            level.values.clear();
             lvl += 1;
         }
     }
@@ -344,7 +356,105 @@ mod tests {
         weighted.last().map(|&(v, _)| v)
     }
 
+    /// `push`, `merge` and `compact_from` as they were before
+    /// compaction went in place (take the level, stable sort, collect
+    /// the survivors into a new buffer): the reference the in-place
+    /// form must reproduce byte for byte.
+    mod reference {
+        use super::super::{Level, QuantileSketch};
+
+        fn compact_from(s: &mut QuantileSketch, from: usize) {
+            let mut lvl = from;
+            while lvl < s.levels.len() {
+                if s.levels[lvl].values.len() <= s.capacity {
+                    lvl += 1;
+                    continue;
+                }
+                let keep_odd = s.levels[lvl].keep_odd;
+                s.levels[lvl].keep_odd = !keep_odd;
+                let mut values = std::mem::take(&mut s.levels[lvl].values);
+                values.sort_by(f64::total_cmp);
+                let offset = usize::from(keep_odd);
+                let survivors: Vec<f64> = values.into_iter().skip(offset).step_by(2).collect();
+                if lvl + 1 == s.levels.len() {
+                    s.levels.push(Level::new());
+                }
+                s.levels[lvl + 1].values.extend(survivors);
+                lvl += 1;
+            }
+        }
+
+        pub(super) fn push(s: &mut QuantileSketch, x: f64) {
+            if !x.is_finite() {
+                return;
+            }
+            s.count += 1;
+            s.levels[0].values.push(x);
+            compact_from(s, 0);
+        }
+
+        pub(super) fn merge(s: &mut QuantileSketch, other: &QuantileSketch) {
+            if other.count == 0 {
+                return;
+            }
+            while s.levels.len() < other.levels.len() {
+                s.levels.push(Level::new());
+            }
+            for (lvl, theirs) in other.levels.iter().enumerate() {
+                s.levels[lvl].values.extend_from_slice(&theirs.values);
+            }
+            s.count += other.count;
+            compact_from(s, 0);
+        }
+
+        pub(super) fn filled(data: &[f64]) -> QuantileSketch {
+            let mut s = QuantileSketch::new();
+            for &x in data {
+                push(&mut s, x);
+            }
+            s
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_in_place_compaction_matches_the_reference_bytes(
+            data in proptest::collection::vec(-1e3f64..1e3, 0..2_000),
+            order in 0u8..3,
+            split in 0.0f64..1.0,
+            dupes in proptest::bool::ANY,
+        ) {
+            // Random, sorted and reversed streams, optionally rounded to
+            // integers so compactions sort runs of equal keys; then
+            // `merge` of the stream's two halves, both ways round.
+            let mut data = data;
+            if dupes {
+                data.iter_mut().for_each(|x| *x = x.round());
+            }
+            if order > 0 {
+                data.sort_by(f64::total_cmp);
+            }
+            if order == 2 {
+                data.reverse();
+            }
+            let bytes = |s: &QuantileSketch| serde_json::to_string(s).unwrap();
+            prop_assert_eq!(bytes(&filled(&data)), bytes(&reference::filled(&data)));
+            let (a, b) = data.split_at((split * data.len() as f64) as usize);
+            for (x, y) in [(a, b), (b, a)] {
+                let mut merged = filled(x);
+                merged.merge(&filled(y));
+                let mut expected = reference::filled(x);
+                reference::merge(&mut expected, &reference::filled(y));
+                prop_assert_eq!(bytes(&merged), bytes(&expected));
+                // A warm sketch keeps compacting identically.
+                for &v in y {
+                    merged.push(v);
+                    reference::push(&mut expected, v);
+                }
+                prop_assert_eq!(bytes(&merged), bytes(&expected));
+            }
+        }
+
         #[test]
         fn prop_try_quantiles_equal_single_queries(
             data in proptest::collection::vec(-1e6f64..1e6, 1..1_500),

@@ -610,6 +610,13 @@ fn restore_rejects_corrupt_checkpoints() {
         corrupt(&replaced_pair),
         "LRU index does not match the subscriber set"
     );
+
+    // A digest snapshot cut short: restoring a fresh sink in its place
+    // would assess the spilled session without the chunks it held.
+    let mut torn_digest = good.clone();
+    torn_digest.shards[donor].subscribers[0].1.inner.spill_json =
+        Some(r#"{"config":{"#.to_string());
+    assert_eq!(corrupt(&torn_digest), "digest snapshot does not parse");
 }
 
 /// Restoring a checkpoint and checkpointing again writes the same bytes,
